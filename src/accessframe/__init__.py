@@ -20,7 +20,6 @@ from .analysis import (
     success_pmf_float,
 )
 from .combinatorics import (
-    StirlingTable,
     binomial,
     falling_factorial,
     hypergeometric_pmf,
@@ -63,7 +62,6 @@ __all__ = [
     "outcome_probability",
     "success_pmf",
     "success_pmf_float",
-    "StirlingTable",
     "binomial",
     "falling_factorial",
     "hypergeometric_pmf",

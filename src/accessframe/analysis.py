@@ -10,26 +10,31 @@ granted token delivers its packet iff exactly one user activated it.
 delivered packets per frame by summing, over every split of the active
 tokens into s singles and c collisions, the probability of that split
 times the hypergeometric probability that d of the granted slots land on
-singles.  All reference-path arithmetic is exact rational; the terms of
-the sum span many orders of magnitude and exact normalization is part of
-the contract.  :func:`success_pmf_float` is an optional log-domain fast
-path for configurations where big-rational arithmetic gets slow.
+singles.  The partition counts of every split come from one strip of
+rows users - min(tokens, users) .. users, built per configuration by
+:func:`~accessframe.combinatorics.stirling2_strip`, which refuses inputs
+too large to compute before doing any work.  All reference-path
+arithmetic is exact rational; the terms of the sum span many orders of
+magnitude and exact normalization is part of the contract.
+:func:`success_pmf_float` is an optional log-domain fast path for
+configurations where big-rational arithmetic gets slow.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import index as as_int
 
 from .combinatorics import (
-    StirlingTable,
     binomial,
     falling_factorial,
     stirling2_assoc,
+    stirling2_strip,
 )
 
 __all__ = [
@@ -111,8 +116,8 @@ class ContentionOutcome:
         """Upper bound on active tokens, min(tokens, users)."""
         return min(self.config.tokens, self.config.users)
 
-    def probability(self, table: StirlingTable | None = None) -> Fraction:
-        return outcome_probability(self.config, self.singles, self.collisions, table)
+    def probability(self) -> Fraction:
+        return outcome_probability(self.config, self.singles, self.collisions)
 
     @classmethod
     def from_counts(cls, config: SystemConfig, counts) -> "ContentionOutcome":
@@ -138,21 +143,20 @@ class PrecisionLossError(ArithmeticError):
 
 
 #: Largest log magnitude any intermediate quantity may reach on the
-#: float path.  A mass's relative error is bounded by the absolute
-#: error of its terms' log representations, which grows with machine
-#: epsilon times the largest log magnitude handled times the depth of
-#: the partition-count recurrence.  1e3 keeps every mass within the
-#: 1e-10 relative-error contract with at least 4x margin, measured
-#: against the exact path at the budget boundary.
+#: float path.  Every term is an exact integer ratio before its logs are
+#: taken, so a mass's relative error is bounded by the absolute error of
+#: those logs, about machine epsilon times the largest log magnitude
+#: handled.  1e3 keeps every mass within the 1e-10 relative-error
+#: contract: at the budget boundary (M=3 to 64, T up to 900) the worst
+#: measured against the exact path is 1.5e-13.
 DEFAULT_LOG_BUDGET = 1.0e3
 
+#: A mass whose largest term is below this log would be subnormal or
+#: zero in float arithmetic, losing the relative-error contract.
+_LOG_FLOAT_MIN = math.log(sys.float_info.min)
 
-def outcome_probability(
-    config: SystemConfig,
-    singles: int,
-    collisions: int,
-    table: StirlingTable | None = None,
-) -> Fraction:
+
+def outcome_probability(config: SystemConfig, singles: int, collisions: int) -> Fraction:
     """Exact probability that contention splits the active tokens into
     exactly ``singles`` single-user tokens and ``collisions`` multi-user
     tokens.
@@ -166,44 +170,58 @@ def outcome_probability(
         raise ValueError(
             f"{singles} + {collisions} active tokens exceed {config.tokens}"
         )
-    weight = _outcome_weight(config, singles, collisions, table)
+    partitions = stirling2_assoc(config.users - singles, collisions)
+    weight = _outcome_weight(config, singles, collisions, partitions)
     if weight == 0:
         return Fraction(0)
     return Fraction(weight, config.tokens**config.users)
 
 
-def _outcome_weight(
-    config: SystemConfig, s: int, c: int, table: StirlingTable | None = None
-) -> int:
-    """Number of user-to-token assignments realizing the split (s, c)."""
-    t = config.users
+def _outcome_weight(config: SystemConfig, s: int, c: int, partitions: int) -> int:
+    """Number of user-to-token assignments realizing the split (s, c),
+    given ``partitions`` = S(users - s, c) from :func:`stirling2_strip`."""
     return (
         binomial(config.tokens, s)
-        * falling_factorial(t, s)
+        * falling_factorial(config.users, s)
         * binomial(config.tokens - s, c)
-        * stirling2_assoc(t - s, c, table)
+        * partitions
         * math.factorial(c)
     )
 
 
-def success_pmf(config: SystemConfig, table: StirlingTable | None = None) -> "SuccessPmf":
+def _split_strip(config: SystemConfig) -> tuple[tuple[int, ...], ...]:
+    """The partition counts every feasible split reads: rows users - m ..
+    users, where m = min(tokens, users), capped at min(tokens, users // 2)
+    blocks.  Row ``m - s`` holds S(users - s, c) for c = 0 ..
+    min(tokens, (users - s) // 2), and every split (s, c) has
+    c <= min(m - s, (users - s) // 2), so no lookup leaves the strip."""
+    t = config.users
+    m = min(config.tokens, t)
+    return stirling2_strip(t, min(config.tokens, t // 2), t - m)
+
+
+def success_pmf(config: SystemConfig) -> "SuccessPmf":
     """Exact pmf of the number of data-phase successes, over
     d = 0 .. min(tokens, data_slots, users).
 
     Every mass is accumulated as integers over one common denominator and
     reduced once, so the result is exact however wildly the terms differ
-    in magnitude.  With no users the pmf is a point mass at zero.
+    in magnitude.  With no users the pmf is a point mass at zero.  Raises
+    ``ValueError`` before any work when the partition counts would cost
+    more than :data:`~accessframe.combinatorics.STRIP_WORK_LIMIT`.
     """
     t, big_m, big_k = config.users, config.tokens, config.data_slots
     m = min(big_m, t)
+    strip = _split_strip(config)
 
     # (weight, s, c, draw size, subset count) for every split that can occur
     terms: list[tuple[int, int, int, int, int]] = []
     for s in range(m + 1):
-        for c in range(m - s + 1):
-            weight = _outcome_weight(config, s, c, table)
-            if weight == 0:
+        row = strip[m - s]
+        for c in range(min(m - s, (t - s) // 2) + 1):
+            if row[c] == 0:  # no users left over for zero collisions
                 continue
+            weight = _outcome_weight(config, s, c, row[c])
             k = min(s + c, big_k)
             terms.append((weight, s, c, k, math.comb(s + c, k)))
 
@@ -224,12 +242,13 @@ def success_pmf_float(
 ) -> "SuccessPmf":
     """Log-domain evaluation of the same pmf in float arithmetic.
 
-    Every factor is carried as a log (lgamma for binomials and falling
-    factorials, a log-space recurrence for the partition counts), terms
-    are exponentiated and summed per mass.  Raises
+    Each term is carried as the log of its exact integer numerator and
+    denominator (the partition counts come from the same strip as
+    :func:`success_pmf`), then exponentiated and summed per mass.  Raises
     :class:`PrecisionLossError` when any term's log magnitude exceeds
-    ``log_budget``, beyond which the usual 1e-10 relative agreement with
-    :func:`success_pmf` can no longer be certified.
+    ``log_budget``, or when a mass of the support would fall below the
+    normal float range, beyond which the usual 1e-10 relative agreement
+    with :func:`success_pmf` can no longer be certified.
     """
     t, big_m, big_k = config.users, config.tokens, config.data_slots
     m = min(big_m, t)
@@ -239,33 +258,24 @@ def success_pmf_float(
             f"log magnitude {log_assignments:.3g} exceeds budget "
             f"{log_budget:.3g}; use the exact path"
         )
+    strip = _split_strip(config)
 
     mass = [0.0] * (config.max_successes + 1)
+    largest = [-math.inf] * len(mass)  # largest log term of each mass
     worst = log_assignments
     for s in range(m + 1):
-        lg_choose_singles, mag1 = _log_binomial(big_m, s)
-        lg_pick_users, mag2 = _log_falling(t, s)
-        for c in range(m - s + 1):
-            lg_part = _log_stirling2(t - s, c)
-            if lg_part == -math.inf:
+        row = strip[m - s]
+        for c in range(min(m - s, (t - s) // 2) + 1):
+            if row[c] == 0:
                 continue
-            lg_collided, mag3 = _log_binomial(big_m - s, c)
-            lg_weight = (
-                lg_choose_singles
-                + lg_pick_users
-                + lg_collided
-                + lg_part
-                + math.lgamma(c + 1)
-            )
+            lg_weight = math.log(_outcome_weight(config, s, c, row[c]))
             k = min(s + c, big_k)
-            lg_subsets, mag4 = _log_binomial(s + c, k)
-            lg_denom = log_assignments + lg_subsets
-            worst = max(worst, mag1, mag2, mag3, mag4, lg_denom)
+            lg_denom = log_assignments + math.log(math.comb(s + c, k))
+            worst = max(worst, lg_denom)
             for d in range(max(0, k - c), min(s, k) + 1):
-                lg_s, mag5 = _log_binomial(s, d)
-                lg_c, mag6 = _log_binomial(c, k - d)
-                lg_num = lg_weight + lg_s + lg_c
-                worst = max(worst, mag5, mag6, lg_num)
+                lg_num = lg_weight + math.log(math.comb(s, d) * math.comb(c, k - d))
+                worst = max(worst, lg_num)
+                largest[d] = max(largest[d], lg_num - lg_denom)
                 mass[d] += math.exp(lg_num - lg_denom)
 
     if worst > log_budget:
@@ -273,107 +283,13 @@ def success_pmf_float(
             f"log magnitude {worst:.3g} exceeds budget {log_budget:.3g}; "
             "use the exact path"
         )
+    for d, lg_term in enumerate(largest):
+        if -math.inf < lg_term < _LOG_FLOAT_MIN:
+            raise PrecisionLossError(
+                f"P(S={d}) is about e^{lg_term:.4g}, below the normal float "
+                "range; use the exact path"
+            )
     return SuccessPmf(config=config, mass=tuple(mass), kind=PmfKind.FLOAT)
-
-
-#: Above this many factors the direct log-product falls back to lgamma.
-_DIRECT_LOG_FACTORS = 64
-
-_LOG_BINOMIAL: dict[tuple[int, int], float] = {}
-_LOG_FALLING: dict[tuple[int, int], float] = {}
-
-
-def _log_binomial(n: int, k: int) -> tuple[float, float]:
-    """(log C(n, k), magnitude to charge against the precision budget).
-
-    The small side of the binomial is usually tiny here (it is capped by
-    the token count), so the log is formed as a short sum of small logs,
-    whose rounding error is negligible no matter how large n gets.  The
-    lgamma fallback for a large small-side is accurate relative to
-    lgamma(n+1), so that full magnitude is what the budget must cover.
-    Callers guarantee 0 <= k <= n.
-    """
-    small = min(k, n - k)
-    if small <= _DIRECT_LOG_FACTORS:
-        key = (n, small)
-        value = _LOG_BINOMIAL.get(key)
-        if value is None:
-            value = sum(math.log(n - i) for i in range(small)) - math.lgamma(small + 1)
-            _LOG_BINOMIAL[key] = value
-        return value, abs(value)
-    value = (
-        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-    )
-    return value, math.lgamma(n + 1)
-
-
-def _log_falling(t: int, s: int) -> tuple[float, float]:
-    """(log of t(t-1)...(t-s+1), budget magnitude); same scheme as
-    :func:`_log_binomial`.  Callers guarantee 0 <= s <= t."""
-    if s <= _DIRECT_LOG_FACTORS:
-        key = (t, s)
-        value = _LOG_FALLING.get(key)
-        if value is None:
-            value = sum(math.log(t - i) for i in range(s))
-            _LOG_FALLING[key] = value
-        return value, abs(value)
-    value = math.lgamma(t + 1) - math.lgamma(t - s + 1)
-    return value, math.lgamma(t + 1)
-
-
-_LOG_STIRLING2: dict[tuple[int, int], float] = {}
-_LOG_STIRLING2_ROWS = 1
-_LOG_STIRLING2_COLS = 1
-
-
-def _log_stirling2(n: int, k: int) -> float:
-    """log of the min-block-size-2 partition count, -inf where it is zero.
-
-    Same recurrence as :class:`StirlingTable` run in log space; error
-    grows only linearly with n, far inside the float path's budget.
-
-    Memoized over a rectangle of rows 2..ROWS and columns 1..COLS rather
-    than full triangular rows: block counts are capped by the token
-    count, so large-population queries touch only a thin strip and full
-    rows would cost quadratic time and memory.  The rectangle is closed
-    under the recurrence (row r, col kk needs only smaller r and kk).
-    On frontier growth a fresh rectangle is staged and the module dict
-    rebound in one step, so concurrent readers always see a complete
-    rectangle.
-    """
-    global _LOG_STIRLING2, _LOG_STIRLING2_ROWS, _LOG_STIRLING2_COLS
-    if n == 0 and k == 0:
-        return 0.0
-    if n <= 0 or k <= 0 or k > n // 2:
-        return -math.inf
-
-    if n > _LOG_STIRLING2_ROWS or k > _LOG_STIRLING2_COLS:
-        rows = max(n, _LOG_STIRLING2_ROWS)
-        cols = max(k, _LOG_STIRLING2_COLS)
-        staged: dict[tuple[int, int], float] = {}
-
-        def get(r: int, kk: int) -> float:
-            if r == 0 and kk == 0:
-                return 0.0
-            if r <= 0 or kk <= 0 or kk > r // 2:
-                return -math.inf
-            return staged[(r, kk)]
-
-        for r in range(2, rows + 1):
-            for kk in range(1, min(r // 2, cols) + 1):
-                a = math.log(kk) + get(r - 1, kk)
-                b = math.log(r - 1) + get(r - 2, kk - 1)
-                if a == -math.inf:
-                    staged[(r, kk)] = b
-                elif b == -math.inf:
-                    staged[(r, kk)] = a
-                else:
-                    hi, lo = (a, b) if a >= b else (b, a)
-                    staged[(r, kk)] = hi + math.log1p(math.exp(lo - hi))
-        _LOG_STIRLING2 = staged
-        _LOG_STIRLING2_ROWS = rows
-        _LOG_STIRLING2_COLS = cols
-    return _LOG_STIRLING2[(n, k)]
 
 
 @dataclass(frozen=True)

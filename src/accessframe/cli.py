@@ -8,8 +8,9 @@ the exact pmf) and ``optimize-k`` (efficiency-maximizing data-phase
 size).  Results go to standard output or ``--output`` as CSV or JSON;
 diagnostics go to standard error only.
 
-Exit status: 0 on success, 1 when a value fails validation, 2 on usage
-errors, 3 when the float path declines for precision reasons.
+Exit status: 0 on success, 1 when a value fails validation or the input
+is too large to compute, 2 on usage errors, 3 when the float path
+declines for precision reasons.
 """
 
 from __future__ import annotations

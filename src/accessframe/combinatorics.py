@@ -4,18 +4,22 @@
 Everything here is integer or rational arithmetic on Python ints, so
 results are exact at any magnitude.  Counts are plain ``int``;
 probabilities are ``fractions.Fraction`` and therefore always reduced.
+The Stirling numbers are built as a column-capped strip whose cost is
+estimated, and refused over a fixed limit, before it is built.
 """
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 from fractions import Fraction
 
 __all__ = [
     "binomial",
     "falling_factorial",
-    "StirlingTable",
+    "STRIP_WORK_LIMIT",
+    "strip_work",
+    "stirling2_strip",
     "stirling2_assoc",
     "hypergeometric_pmf",
 ]
@@ -41,96 +45,118 @@ def falling_factorial(t: int, s: int) -> int:
     return math.perm(t, s)
 
 
-class StirlingTable:
-    """Lazily grown table of 2-associated Stirling numbers of the second kind.
+#: Largest partition strip :func:`stirling2_strip` agrees to build, in
+#: estimated bit-operations (see :func:`strip_work`).  On a 2-core x86-64
+#: host one estimated bit-operation takes 0.2-0.6 ns, so the limit stops
+#: a build at about a second; the estimate is never below the strip's
+#: total bit length, so a strip kept whole (tokens >= users) holds at
+#: most about 250 MB of digits.  The largest strip the test suite and the
+#: benchmark workloads ask for (users 1600, 16 columns) is about 6e7,
+#: 34x below the limit.
+STRIP_WORK_LIMIT = 2.0e9
 
-    ``value(n, k)`` counts the partitions of an n-element set into exactly
-    k blocks, each holding at least two elements.  Interior values follow
+#: Fixed costs in the same units: one machine word per entry, and the
+#: interpreter work of one row, measured as costing about as much as
+#: 4096 bit-operations.
+_ENTRY_BITS = 64
+_ROW_BITS = 4096
 
-        S(n + 1, k) = k * S(n, k) + n * S(n - 1, k - 1)
 
-    and S(n, k) = 0 whenever k > floor(n / 2), n <= 0 or k <= 0, with the
+def _log2_factorial(n: int) -> float:
+    return math.lgamma(n + 1) / math.log(2)
+
+
+def strip_work(rows: int, cols: int) -> float:
+    """Estimated bigint work, in bit-operations, to build rows 0..rows of
+    the partition strip capped at ``cols`` columns.
+
+    S(r, k) is about r*log2(k) bits wide, so row r, which holds columns
+    1..w with w = min(cols, r // 2), costs r * log2(w!) plus the fixed
+    costs.  Rows r >= 2 * cols all have w = cols and are summed in closed
+    form; the rows below are summed one by one, stopping as soon as the
+    total passes :data:`STRIP_WORK_LIMIT`, so the estimate is cheap for
+    any input.  Since S(r, k) <= k**r / k!, every entry has at most
+    r*log2(k) + 1 bits, so the estimate is never below the strip's total
+    bit length.
+    """
+    head = min(rows + 1, 2 * cols)
+    work = 0.0
+    for r in range(head):
+        w = r // 2
+        work += r * _log2_factorial(w) + _ENTRY_BITS * w + _ROW_BITS
+        if work > STRIP_WORK_LIMIT:
+            return work
+    tail = rows + 1 - head
+    work += (head + rows) * tail / 2 * _log2_factorial(cols)
+    work += tail * (_ENTRY_BITS * cols + _ROW_BITS)
+    return work
+
+
+@functools.lru_cache(maxsize=1)
+def stirling2_strip(
+    rows: int, cols: int, first_row: int = 0
+) -> tuple[tuple[int, ...], ...]:
+    """Rows first_row..rows of the 2-associated Stirling numbers of the
+    second kind, capped at ``cols`` columns.
+
+    S(r, k) counts the partitions of an r-element set into exactly k
+    blocks, each holding at least two elements.  Interior values follow
+
+        S(r, k) = k * S(r - 1, k) + (r - 1) * S(r - 2, k - 1)
+
+    and S(r, k) = 0 whenever k > floor(r / 2), r <= 0 or k <= 0, with the
     single exception S(0, 0) = 1 (the empty partition).  That exception is
     what lets the recurrence reproduce S(2, 1) = 1 and keeps distributions
     built on these counts normalized.
 
-    Growth is monotone and idempotent.  New rows are staged in a local
-    dict and published with a single ``dict.update`` before ``max_n`` is
-    advanced, so concurrent readers observe either the old or the new
-    complete state (grow-then-publish); reads never block.
+    ``strip[i][k]`` is S(r, k) for r = first_row + i and
+    k = 0 .. min(cols, r // 2).  Every row from 0 up is computed, but only
+    the last two are held while rolling forward, plus the kept rows.
+    Inputs whose :func:`strip_work` exceeds :data:`STRIP_WORK_LIMIT`
+    raise ``ValueError`` before anything is built.  The result is
+    immutable and only the most recent one is cached, so a scan over data
+    slots at fixed tokens and users builds it once, and concurrent callers
+    can share it safely.
     """
-
-    def __init__(self) -> None:
-        self._entries: dict[tuple[int, int], int] = {}
-        self._max_n = 1  # rows 0 and 1 contain no interior entries
-
-    @property
-    def max_n(self) -> int:
-        """Highest n for which all interior entries are materialized."""
-        return self._max_n
-
-    @property
-    def entries(self) -> dict[tuple[int, int], int]:
-        """Copy of the stored interior entries (all are positive)."""
-        return dict(self._entries)
-
-    def value(self, n: int, k: int) -> int:
-        if n == 0 and k == 0:
-            return 1
-        if n <= 0 or k <= 0 or k > n // 2:
-            return 0
-        if n > self._max_n:
-            self._grow(n)
-        return self._entries[(n, k)]
-
-    def _grow(self, n: int) -> None:
-        staged: dict[tuple[int, int], int] = {}
-
-        def get(r: int, k: int) -> int:
-            if r == 0 and k == 0:
-                return 1
-            if r <= 0 or k <= 0 or k > r // 2:
-                return 0
-            if (r, k) in staged:
-                return staged[(r, k)]
-            return self._entries[(r, k)]
-
-        for r in range(self._max_n + 1, n + 1):
-            for k in range(1, r // 2 + 1):
-                staged[(r, k)] = k * get(r - 1, k) + (r - 1) * get(r - 2, k - 1)
-        self._entries.update(staged)
-        self._max_n = max(self._max_n, n)
-
-    def to_json(self) -> str:
-        """Serialize as decimal strings (test-fixture friendly)."""
-        payload = {
-            "max_n": self._max_n,
-            "entries": {f"{n},{k}": str(v) for (n, k), v in sorted(self._entries.items())},
-        }
-        return json.dumps(payload, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "StirlingTable":
-        payload = json.loads(text)
-        table = cls()
-        for key, dec in payload["entries"].items():
-            n_str, k_str = key.split(",")
-            table._entries[(int(n_str), int(k_str))] = int(dec)
-        table._max_n = int(payload["max_n"])
-        return table
+    if rows < 0 or cols < 0 or not 0 <= first_row <= rows:
+        raise ValueError(
+            f"need 0 <= first_row <= rows and cols >= 0, got "
+            f"({rows}, {cols}, {first_row})"
+        )
+    work = strip_work(rows, cols)
+    if work > STRIP_WORK_LIMIT:
+        raise ValueError(
+            f"partition counts up to n={rows} with {cols} blocks need an "
+            f"estimated {work:.2g} or more bit-operations, over the limit of "
+            f"{STRIP_WORK_LIMIT:.2g}; use fewer users or tokens"
+        )
+    older: tuple[int, ...] = ()
+    newer: tuple[int, ...] = (1,)  # row 0
+    kept = [newer] if first_row == 0 else []
+    for r in range(1, rows + 1):
+        width, r1 = min(cols, r // 2), r - 1
+        row = (0, *[
+            k * a + r1 * b
+            for k, a, b in zip(range(1, width + 1), newer[1:] + (0,), older)
+        ])
+        older, newer = newer, row
+        if r >= first_row:
+            kept.append(row)
+    return tuple(kept)
 
 
-_SHARED_TABLE = StirlingTable()
-
-
-def stirling2_assoc(n: int, k: int, table: StirlingTable | None = None) -> int:
+def stirling2_assoc(n: int, k: int) -> int:
     """Number of partitions of an n-set into k blocks of size at least two.
 
     Out-of-range (n, k) return 0 per the boundary rules on
-    :class:`StirlingTable`; results are memoized into ``table`` (a shared
-    module-level table when omitted).
+    :func:`stirling2_strip`; in range, this builds the strip that ends at
+    row n and column k.
     """
-    return (_SHARED_TABLE if table is None else table).value(n, k)
+    if n == 0 and k == 0:
+        return 1
+    if n <= 0 or k <= 0 or k > n // 2:
+        return 0
+    return stirling2_strip(n, k, n)[0][k]
 
 
 def hypergeometric_pmf(s: int, c: int, k: int, d: int) -> Fraction:

@@ -22,7 +22,6 @@ from operator import index as as_int
 from typing import Iterable
 
 from .analysis import SystemConfig, success_pmf
-from .combinatorics import StirlingTable
 
 __all__ = [
     "Axis",
@@ -140,29 +139,29 @@ class FrameMetrics:
         return f"{CSV_HEADER}\n{row}\n"
 
 
-def expected_successes(config: SystemConfig, table: StirlingTable | None = None) -> Fraction:
+def expected_successes(config: SystemConfig) -> Fraction:
     """Exact mean of the per-frame success count."""
-    return success_pmf(config, table).mean()
+    return success_pmf(config).mean()
 
 
-def success_rate(config: SystemConfig, table: StirlingTable | None = None) -> Fraction:
+def success_rate(config: SystemConfig) -> Fraction:
     """Per-user success probability: expected successes over users.
 
     Undefined without users; rejects users == 0.
     """
     if config.users < 1:
         raise ValueError("success rate needs at least one user")
-    return expected_successes(config, table) / config.users
+    return expected_successes(config) / config.users
 
 
-def efficiency(config: SystemConfig, table: StirlingTable | None = None) -> Fraction:
+def efficiency(config: SystemConfig) -> Fraction:
     """Expected successes per access-frame slot (contention slot included)."""
-    return expected_successes(config, table) / config.frame_slots
+    return expected_successes(config) / config.frame_slots
 
 
-def frame_metrics(config: SystemConfig, table: StirlingTable | None = None) -> FrameMetrics:
+def frame_metrics(config: SystemConfig) -> FrameMetrics:
     """All three summaries from a single pmf evaluation."""
-    expected = expected_successes(config, table)
+    expected = expected_successes(config)
     if config.users < 1:
         raise ValueError("success rate needs at least one user")
     return FrameMetrics(
@@ -225,12 +224,7 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
-def sweep(
-    base: SystemConfig,
-    axis: Axis | str,
-    values: Iterable[int],
-    table: StirlingTable | None = None,
-) -> SweepReport:
+def sweep(base: SystemConfig, axis: Axis | str, values: Iterable[int]) -> SweepReport:
     """Evaluate exact metrics for each value of the swept axis.
 
     ``values`` must be non-empty and strictly increasing (so the report
@@ -242,7 +236,7 @@ def sweep(
     if not values:
         raise ValueError("sweep needs at least one axis value")
     rows = tuple(
-        frame_metrics(replace(base, **{axis.value: v}), table) for v in values
+        frame_metrics(replace(base, **{axis.value: v})) for v in values
     )
     return SweepReport(
         base=base,
@@ -253,9 +247,7 @@ def sweep(
     )
 
 
-def optimal_data_slots(
-    tokens: int, users: int, k_max: int, table: StirlingTable | None = None
-) -> tuple[int, Fraction]:
+def optimal_data_slots(tokens: int, users: int, k_max: int) -> tuple[int, Fraction]:
     """Data-phase size maximizing efficiency, searched exhaustively.
 
     Scans data_slots = 1 .. k_max and returns (best size, its
@@ -265,9 +257,9 @@ def optimal_data_slots(
     tokens, users, k_max = as_int(tokens), as_int(users), as_int(k_max)
     if tokens < 1 or users < 1 or k_max < 1:
         raise ValueError("tokens, users and k_max must all be >= 1")
-    best_k, best_value = 1, efficiency(SystemConfig(tokens, 1, users), table)
+    best_k, best_value = 1, efficiency(SystemConfig(tokens, 1, users))
     for k in range(2, k_max + 1):
-        value = efficiency(SystemConfig(tokens, k, users), table)
+        value = efficiency(SystemConfig(tokens, k, users))
         if value > best_value:
             best_k, best_value = k, value
     return best_k, best_value

@@ -27,7 +27,6 @@ from operator import index as as_int
 import numpy as np
 
 from .analysis import PmfKind, SuccessPmf, SystemConfig, success_pmf
-from .combinatorics import StirlingTable
 from .metrics import CSV_HEADER, csv_fields
 
 __all__ = [
@@ -295,9 +294,7 @@ class ComparisonRecord:
         )
 
 
-def compare_to_exact(
-    report: EmpiricalReport, table: StirlingTable | None = None
-) -> ComparisonRecord:
+def compare_to_exact(report: EmpiricalReport) -> ComparisonRecord:
     """Total variation distance and worst per-mass gap between an
     empirical pmf and the exact one.
 
@@ -306,7 +303,7 @@ def compare_to_exact(
     """
     if report.params.mode is not DetectionMode.BINARY:
         raise ValueError("no exact reference for ternary detection")
-    exact = success_pmf(report.params.config, table)
+    exact = success_pmf(report.params.config)
     gaps = [abs(a - b) for a, b in zip(report.pmf_hat.mass, exact.mass)]
     return ComparisonRecord(
         params=report.params,

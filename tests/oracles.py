@@ -11,7 +11,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb
+from math import comb, perm
 
 
 @lru_cache(maxsize=None)
@@ -104,3 +104,30 @@ def pascal_triangle(max_n: int) -> list[list[int]]:
             [1] + [prev[j - 1] + prev[j] for j in range(1, n)] + [1]
         )
     return rows
+
+
+def expected_successes_by_occupancy(tokens: int, slots: int, users: int) -> Fraction:
+    """Mean successes per frame from a one-dimensional occupancy sum.
+
+    By symmetry over users, E[S] = T * P(user 1 is alone on its token and
+    wins a slot).  Given that, the other T - 1 users occupy A' of the other
+    M - 1 tokens, and user 1's token is among the min(A' + 1, K) granted
+    ones with probability min(A' + 1, K) / (A' + 1).  With S2 the ordinary
+    Stirling numbers of the second kind,
+
+        P(A' = a) = (M-1)_a * S2(T-1, a) / (M-1)^(T-1),
+
+    and the factor (1 - 1/M)^(T-1) for user 1 being alone cancels the
+    denominator down to M^(T-1).
+    """
+    if users == 0:
+        return Fraction(0)
+    width = min(tokens - 1, users - 1)
+    row = [1] + [0] * width  # S2(0, a)
+    for _ in range(users - 1):
+        row = [0] + [a * row[a] + row[a - 1] for a in range(1, width + 1)]
+    total = sum(
+        Fraction(perm(tokens - 1, a) * row[a] * min(a + 1, slots), a + 1)
+        for a in range(width + 1)
+    )
+    return users * total / tokens ** (users - 1)

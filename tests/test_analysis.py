@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,8 +20,8 @@ from accessframe.analysis import (
     success_pmf,
     success_pmf_float,
 )
-from accessframe.combinatorics import hypergeometric_pmf
-from oracles import brute_force_pmf
+from accessframe.combinatorics import hypergeometric_pmf, stirling2_strip
+from oracles import brute_force_pmf, expected_successes_by_occupancy
 
 
 def test_config_validation():
@@ -148,6 +151,57 @@ def test_success_pmf_is_split_mixture_of_hypergeometrics():
         assert success_pmf(cfg).mass == tuple(direct), cfg
 
 
+def test_success_pmf_deep_load_is_normalized_with_occupancy_mean():
+    cfg = SystemConfig(8, 4, 1600)
+    pmf = success_pmf(cfg)
+    assert pmf.total() == 1
+    assert pmf.mean() == expected_successes_by_occupancy(8, 4, 1600)
+
+
+def test_success_pmf_refuses_oversized_inputs_before_building():
+    stirling2_strip.cache_clear()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="fewer users or tokens"):
+            success_pmf(SystemConfig(64, 8, 20000))
+        with pytest.raises(ValueError, match="fewer users or tokens"):
+            success_pmf_float(SystemConfig(1, 1, 10**9))  # inside the log budget
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert stirling2_strip.cache_info().currsize == 0
+
+
+def test_success_pmf_is_safe_across_threads():
+    # the strip cache holds one entry, so these configurations keep
+    # evicting each other; every result must still match a serial run
+    configs = [SystemConfig(8, 4, 400), SystemConfig(16, 8, 300)]
+    serial = {cfg: success_pmf(cfg) for cfg in configs}
+    results: list[tuple[SystemConfig, object]] = []
+    lock = threading.Lock()
+
+    def work(cfg: SystemConfig) -> None:
+        for _ in range(10):
+            pmf = success_pmf(cfg)
+            with lock:
+                results.append((cfg, pmf))
+
+    threads = [threading.Thread(target=work, args=(cfg,)) for cfg in configs * 2]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 10 * len(threads)
+    assert all(pmf == serial[cfg] for cfg, pmf in results)
+
+
 def test_success_pmf_saturates_at_token_count():
     base = success_pmf(SystemConfig(6, 6, 9)).mass
     for slots in (7, 10, 25):
@@ -189,6 +243,13 @@ def test_float_path_declines_beyond_budget():
     # the same configuration is fine with the budget it actually needs
     relaxed = success_pmf_float(SystemConfig(8, 8, 12), log_budget=100.0)
     assert math.isclose(sum(relaxed.mass), 1.0, rel_tol=1e-9)
+
+
+def test_float_path_refuses_masses_below_float_range():
+    cfg = SystemConfig(2, 1, 1114)  # inside the log budget
+    assert 0 < success_pmf(cfg).mass[1] < sys.float_info.min
+    with pytest.raises(PrecisionLossError, match="below the normal float range"):
+        success_pmf_float(cfg)
 
 
 def test_pmf_json_round_trip_is_exact():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -104,6 +105,17 @@ def test_precision_refusal_exits_three(capsys):
     assert code == 3
     assert out == ""
     assert "exact path" in err
+
+
+def test_oversized_input_exits_one_with_hint(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "pmf", "--tokens", "64", "--slots", "8", "--users", "20000",
+    )
+    assert time.perf_counter() - start < 2.0
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "fewer users or tokens" in err
 
 
 def test_simulate_is_reproducible(capsys):

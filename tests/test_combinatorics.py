@@ -3,15 +3,20 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from accessframe.combinatorics import (
-    StirlingTable,
+    STRIP_WORK_LIMIT,
     binomial,
     falling_factorial,
     hypergeometric_pmf,
     stirling2_assoc,
+    stirling2_strip,
+    strip_work,
 )
 from oracles import (
     hypergeometric_by_enumeration,
@@ -86,38 +91,78 @@ def test_stirling_matches_partition_enumeration():
             assert stirling2_assoc(n, k) == counts.get(k, 0), (n, k)
 
 
-def test_stirling_table_grows_monotonically():
-    table = StirlingTable()
-    assert table.value(6, 2) == 25
-    first = table.max_n
-    assert table.value(10, 4) == 9450
-    assert table.max_n >= max(first, 10)
-    # growth never invalidates earlier answers
-    assert table.value(6, 2) == 25
-
-
-def test_stirling_table_rows_are_complete():
-    table = StirlingTable()
-    table.value(9, 2)
-    for n in range(2, table.max_n + 1):
+@lru_cache(maxsize=None)
+def _triangle(max_n: int) -> dict[tuple[int, int], int]:
+    """Every interior S(n, k), n <= max_n, from full triangular rows of
+    the same recurrence: the reference the capped strip must reproduce."""
+    entries = {(0, 0): 1}
+    for n in range(2, max_n + 1):
         for k in range(1, n // 2 + 1):
-            assert (n, k) in table.entries
+            entries[(n, k)] = k * entries.get((n - 1, k), 0) + (n - 1) * entries.get(
+                (n - 2, k - 1), 0
+            )
+    return entries
 
 
-def test_stirling_table_json_round_trip():
-    table = StirlingTable()
-    table.value(11, 3)
-    clone = StirlingTable.from_json(table.to_json())
-    assert clone.max_n == table.max_n
-    assert clone.entries == table.entries
-    assert clone.value(12, 2) == stirling2_assoc(12, 2)
+def _check_strip(rows: int, cols: int, first_row: int, expected) -> None:
+    strip = stirling2_strip(rows, cols, first_row)
+    assert len(strip) == rows - first_row + 1
+    for r, row in enumerate(strip, start=first_row):
+        assert len(row) == min(cols, r // 2) + 1, (r, cols)
+        assert row == tuple(expected(r, k) for k in range(len(row))), r
 
 
-def test_stirling_explicit_table_agrees_with_shared():
-    table = StirlingTable()
-    for n in range(13):
-        for k in range(7):
-            assert stirling2_assoc(n, k, table) == stirling2_assoc(n, k)
+@settings(deadline=None)
+@given(st.data())
+def test_strip_matches_partition_enumeration(data):
+    rows = data.draw(st.integers(0, 12))
+    cols = data.draw(st.integers(0, 7))
+    first_row = data.draw(st.integers(0, rows))
+    _check_strip(
+        rows, cols, first_row, lambda r, k: min_size2_partition_counts(r).get(k, 0)
+    )
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_strip_matches_full_triangle(data):
+    rows = data.draw(st.integers(0, 300))
+    cols = data.draw(st.integers(0, rows // 2 + 1))
+    first_row = data.draw(st.integers(0, rows))
+    triangle = _triangle(300)
+    _check_strip(rows, cols, first_row, lambda r, k: triangle.get((r, k), 0))
+
+
+def test_strip_is_immutable_and_reused():
+    strip = stirling2_strip(40, 5, 30)
+    assert isinstance(strip, tuple) and all(isinstance(row, tuple) for row in strip)
+    assert stirling2_strip(40, 5, 30) is strip
+
+
+@settings(deadline=None)
+@given(st.integers(0, 400), st.integers(0, 60))
+def test_strip_work_bounds_strip_size(rows, cols):
+    # the memory bound on STRIP_WORK_LIMIT relies on this
+    bits = sum(v.bit_length() for row in stirling2_strip(rows, cols) for v in row)
+    assert strip_work(rows, cols) >= bits
+
+
+def test_strip_refuses_oversized_inputs():
+    # the largest benchmark strip passes with 10x headroom
+    assert strip_work(1600, 16) * 10 < STRIP_WORK_LIMIT < strip_work(20000, 64)
+    with pytest.raises(ValueError, match="fewer users or tokens"):
+        stirling2_strip(20000, 64)
+    with pytest.raises(ValueError, match="fewer users or tokens"):
+        stirling2_assoc(10**9, 10**8)  # the estimate itself stops early
+
+
+def test_strip_rejects_bad_shapes():
+    with pytest.raises(ValueError):
+        stirling2_strip(-1, 2)
+    with pytest.raises(ValueError):
+        stirling2_strip(5, -1)
+    with pytest.raises(ValueError):
+        stirling2_strip(5, 2, 6)
 
 
 def test_hypergeometric_hand_values():
