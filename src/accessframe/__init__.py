@@ -4,20 +4,17 @@ TDM data phase.
 
 The exact path (:func:`success_pmf`, the metrics helpers) works in
 rational arithmetic end to end; the simulator reproduces the same
-distribution from a named, seeded random stream for validation and for
-the ternary-detection variant that has no closed form.
+distribution from a named, seeded random stream for validation and
+estimates the ternary-detection variant, for which the library ships no
+exact pmf.
 """
 
 from .analysis import (
-    DEFAULT_LOG_BUDGET,
-    ContentionOutcome,
     PmfKind,
-    PrecisionLossError,
     SuccessPmf,
     SystemConfig,
     outcome_probability,
     success_pmf,
-    success_pmf_float,
 )
 from .combinatorics import (
     binomial,
@@ -53,15 +50,11 @@ from .simulator import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ContentionOutcome",
     "PmfKind",
-    "PrecisionLossError",
     "SuccessPmf",
     "SystemConfig",
-    "DEFAULT_LOG_BUDGET",
     "outcome_probability",
     "success_pmf",
-    "success_pmf_float",
     "binomial",
     "falling_factorial",
     "hypergeometric_pmf",

@@ -1,16 +1,15 @@
 """Command-line front end.
 
-Subcommands map one-to-one onto the library: ``pmf`` (exact or float
-success distribution), ``metrics`` (rate and efficiency for one
-configuration), ``sweep`` (tables along the user or data-slot axis),
-``simulate`` (seeded Monte Carlo estimate), ``compare`` (simulation vs
-the exact pmf) and ``optimize-k`` (efficiency-maximizing data-phase
-size).  Results go to standard output or ``--output`` as CSV or JSON;
-diagnostics go to standard error only.
+Subcommands map one-to-one onto the library: ``pmf`` (exact success
+distribution), ``metrics`` (rate and efficiency for one configuration),
+``sweep`` (tables along the user or data-slot axis), ``simulate``
+(seeded Monte Carlo estimate), ``compare`` (simulation vs the exact pmf)
+and ``optimize-k`` (efficiency-maximizing data-phase size).  Results go
+to standard output or ``--output`` as CSV or JSON; diagnostics go to
+standard error only.
 
 Exit status: 0 on success, 1 when a value fails validation or the input
-is too large to compute, 2 on usage errors, 3 when the float path
-declines for precision reasons.
+is too large to compute, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -20,12 +19,7 @@ import json
 import os
 import sys
 
-from .analysis import (
-    PrecisionLossError,
-    SystemConfig,
-    success_pmf,
-    success_pmf_float,
-)
+from .analysis import SystemConfig, success_pmf
 from .metrics import Axis, frame_metrics, optimal_data_slots, sweep
 from .simulator import DetectionMode, SimParams, compare_to_exact, estimate_pmf
 
@@ -94,12 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
         "pmf", help="distribution of per-frame successes"
     )
     _add_config_flags(pmf, required=("tokens", "slots", "users"))
-    pmf.add_argument(
-        "--method",
-        choices=("exact", "float"),
-        default="exact",
-        help="exact rational masses or the log-domain float path",
-    )
     _add_output_flags(pmf, fmt)
     pmf.set_defaults(handler=_run_pmf)
 
@@ -178,8 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_pmf(args: argparse.Namespace) -> str:
-    cfg = SystemConfig(args.tokens, args.slots, args.users)
-    pmf = success_pmf(cfg) if args.method == "exact" else success_pmf_float(cfg)
+    pmf = success_pmf(SystemConfig(args.tokens, args.slots, args.users))
     return pmf.to_csv() if args.format == "csv" else pmf.to_json()
 
 
@@ -303,9 +290,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         document = args.handler(args)
-    except PrecisionLossError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -52,7 +52,8 @@ def falling_factorial(t: int, s: int) -> int:
 #: total bit length, so a strip kept whole (tokens >= users) holds at
 #: most about 250 MB of digits.  The largest strip the test suite and the
 #: benchmark workloads ask for (users 1600, 16 columns) is about 6e7,
-#: 34x below the limit.
+#: 34x below the limit.  :func:`~accessframe.analysis.success_pmf` holds
+#: its split sum to the same limit.
 STRIP_WORK_LIMIT = 2.0e9
 
 #: Fixed costs in the same units: one machine word per entry, and the

@@ -10,12 +10,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from accessframe.analysis import (
-    SystemConfig,
-    stirling2_assoc,
-    success_pmf,
-    success_pmf_float,
-)
+from accessframe.analysis import SystemConfig, stirling2_assoc, success_pmf
 from accessframe.metrics import optimal_data_slots, success_rate
 from accessframe.simulator import SimParams, compare_to_exact, estimate_pmf
 
@@ -135,26 +130,6 @@ def test_acceptance_interior_efficiency_peak():
         f"e.g. T={witnesses[0][0]} at K={witnesses[0][1]}"
         if witnesses
         else "no load in [8,30] peaks below K=8",
-    )
-
-
-def test_acceptance_float_agreement():
-    worst = 0.0
-    for tokens in range(1, 17):
-        for slots in range(1, 17):
-            for users in range(0, 25):
-                cfg = SystemConfig(tokens, slots, users)
-                exact = success_pmf(cfg).mass
-                approx = success_pmf_float(cfg).mass
-                for e, f in zip(exact, approx):
-                    if e == 0:
-                        assert f == 0.0, cfg
-                    else:
-                        worst = max(worst, abs(f / float(e) - 1.0))
-    _gate(
-        "float agreement",
-        worst <= 1e-10,
-        f"worst relative error {worst:.3e} for M,K <= 16, T <= 24",
     )
 
 

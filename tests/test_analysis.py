@@ -1,8 +1,7 @@
-"""Exact and float success distributions against oracles and each other."""
+"""Exact success distributions against brute-force oracles and closed forms."""
 
 from __future__ import annotations
 
-import math
 import sys
 import threading
 import tracemalloc
@@ -11,14 +10,11 @@ from fractions import Fraction
 import pytest
 
 from accessframe.analysis import (
-    ContentionOutcome,
     PmfKind,
-    PrecisionLossError,
     SuccessPmf,
     SystemConfig,
     outcome_probability,
     success_pmf,
-    success_pmf_float,
 )
 from accessframe.combinatorics import hypergeometric_pmf, stirling2_strip
 from oracles import brute_force_pmf, expected_successes_by_occupancy
@@ -49,35 +45,11 @@ def test_config_accepts_integer_like_values():
     assert type(cfg.tokens) is int
 
 
-def test_outcome_validation():
-    cfg = SystemConfig(4, 2, 3)
-    with pytest.raises(ValueError):
-        ContentionOutcome(cfg, singles=-1, collisions=0)
-    with pytest.raises(ValueError):
-        ContentionOutcome(cfg, singles=3, collisions=2)  # five active tokens of four
-    with pytest.raises(ValueError):
-        ContentionOutcome(cfg, singles=2, collisions=1)  # needs four users
-    out = ContentionOutcome(cfg, singles=1, collisions=1)
-    assert out.slots_drawn == 2
-    assert out.max_active == 3
-
-
-def test_outcome_from_counts():
-    cfg = SystemConfig(4, 2, 5)
-    out = ContentionOutcome.from_counts(cfg, [2, 1, 0, 2])
-    assert (out.singles, out.collisions) == (1, 2)
-    with pytest.raises(ValueError):
-        ContentionOutcome.from_counts(cfg, [1, 1, 1])  # one count per token
-    with pytest.raises(ValueError):
-        ContentionOutcome.from_counts(cfg, [1, 1, 1, 1])  # must sum to users
-
-
 def test_outcome_probabilities_two_tokens_two_users():
     cfg = SystemConfig(2, 1, 2)
     assert outcome_probability(cfg, 2, 0) == Fraction(1, 2)
     assert outcome_probability(cfg, 0, 1) == Fraction(1, 2)
     assert outcome_probability(cfg, 1, 0) == 0  # one user cannot leave the other idle
-    assert ContentionOutcome(cfg, 2, 0).probability() == Fraction(1, 2)
 
 
 def test_outcome_probabilities_sum_to_one():
@@ -165,7 +137,7 @@ def test_success_pmf_refuses_oversized_inputs_before_building():
         with pytest.raises(ValueError, match="fewer users or tokens"):
             success_pmf(SystemConfig(64, 8, 20000))
         with pytest.raises(ValueError, match="fewer users or tokens"):
-            success_pmf_float(SystemConfig(1, 1, 10**9))  # inside the log budget
+            success_pmf(SystemConfig(1000, 8, 1000))  # the split sum is too large
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -217,41 +189,6 @@ def test_success_pmf_closed_form_when_slots_cover_tokens():
         assert sigma == Fraction(tokens - 1, tokens) ** (users - 1)
 
 
-def test_float_path_small_cases():
-    mass = success_pmf_float(SystemConfig(2, 1, 2)).mass
-    assert mass == pytest.approx((0.5, 0.5), abs=1e-12)
-    assert success_pmf_float(SystemConfig(4, 2, 0)).mass == (1.0,)
-
-
-def test_float_path_matches_exact_within_contract():
-    for cfg in [SystemConfig(8, 8, 12), SystemConfig(16, 4, 24), SystemConfig(5, 9, 14)]:
-        exact = success_pmf(cfg).mass
-        approx = success_pmf_float(cfg)
-        assert approx.kind is PmfKind.FLOAT
-        for a, b in zip(exact, approx.mass):
-            if a == 0:
-                assert b == 0
-            else:
-                assert abs(b - float(a)) / float(a) <= 1e-10
-
-
-def test_float_path_declines_beyond_budget():
-    with pytest.raises(PrecisionLossError):
-        success_pmf_float(SystemConfig(2, 4, 3000))  # log magnitude past default budget
-    with pytest.raises(PrecisionLossError):
-        success_pmf_float(SystemConfig(8, 8, 12), log_budget=1.0)
-    # the same configuration is fine with the budget it actually needs
-    relaxed = success_pmf_float(SystemConfig(8, 8, 12), log_budget=100.0)
-    assert math.isclose(sum(relaxed.mass), 1.0, rel_tol=1e-9)
-
-
-def test_float_path_refuses_masses_below_float_range():
-    cfg = SystemConfig(2, 1, 1114)  # inside the log budget
-    assert 0 < success_pmf(cfg).mass[1] < sys.float_info.min
-    with pytest.raises(PrecisionLossError, match="below the normal float range"):
-        success_pmf_float(cfg)
-
-
 def test_pmf_json_round_trip_is_exact():
     pmf = success_pmf(SystemConfig(8, 4, 12))
     clone = SuccessPmf.from_json(pmf.to_json())
@@ -270,11 +207,10 @@ def test_pmf_json_schema():
     }
 
 
-def test_float_pmf_json_round_trip():
-    pmf = success_pmf_float(SystemConfig(8, 4, 12))
-    clone = SuccessPmf.from_json(pmf.to_json())
-    assert clone.kind is PmfKind.FLOAT
-    assert clone.mass == pmf.mass
+def test_pmf_json_rejects_unknown_kind():
+    text = success_pmf(SystemConfig(2, 1, 2)).to_json().replace('"exact"', '"float"')
+    with pytest.raises(ValueError):
+        SuccessPmf.from_json(text)
 
 
 def test_pmf_csv_layout():

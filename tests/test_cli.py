@@ -48,17 +48,6 @@ def test_pmf_json_round_trips_byte_identically(capsys):
     assert payload["mass"][0].count("/") == 1
 
 
-def test_pmf_float_method(capsys):
-    code, out, _ = run_cli(
-        capsys, "pmf", "--tokens", "8", "--slots", "4", "--users", "12",
-        "--method", "float",
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["kind"] == "float"
-    assert abs(sum(payload["mass"]) - 1) < 1e-10
-
-
 def test_metrics_csv_row(capsys):
     code, out, _ = run_cli(
         capsys, "metrics", "--tokens", "2", "--slots", "1", "--users", "2",
@@ -88,6 +77,16 @@ def test_validation_failure_exits_one_with_empty_stdout(capsys):
     assert err.startswith("error:")
 
 
+def test_pmf_has_no_method_option(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["pmf", "--tokens", "8", "--slots", "4", "--users", "12",
+              "--method", "float"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--method" in captured.err
+
+
 def test_usage_failure_exits_two(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["simulate", "--tokens", "4", "--slots", "2", "--users", "6"])
@@ -97,25 +96,18 @@ def test_usage_failure_exits_two(capsys):
     assert "--seed" in captured.err
 
 
-def test_precision_refusal_exits_three(capsys):
-    code, out, err = run_cli(
-        capsys, "pmf", "--tokens", "2", "--slots", "4", "--users", "5000",
-        "--method", "float",
-    )
-    assert code == 3
-    assert out == ""
-    assert "exact path" in err
-
-
 def test_oversized_input_exits_one_with_hint(capsys):
-    start = time.perf_counter()
-    code, out, err = run_cli(
-        capsys, "pmf", "--tokens", "64", "--slots", "8", "--users", "20000",
-    )
-    assert time.perf_counter() - start < 2.0
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ") and "fewer users or tokens" in err
+    # the first input has too large a partition strip, the second too
+    # large a split sum
+    for tokens, users in [("64", "20000"), ("1000", "1000")]:
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "pmf", "--tokens", tokens, "--slots", "8", "--users", users,
+        )
+        assert time.perf_counter() - start < 2.0
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "fewer users or tokens" in err
 
 
 def test_simulate_is_reproducible(capsys):
