@@ -6,16 +6,18 @@ tokens are active (not how many users chose each), grants a uniformly
 random subset of min(active, data_slots) of them a data slot, and a
 granted token delivers its packet iff exactly one user activated it.
 
-:func:`success_pmf` evaluates the exact distribution of the number of
-delivered packets per frame by summing, over every split of the active
-tokens into s singles and c collisions, the probability of that split
-times the hypergeometric probability that d of the granted slots land on
-singles.  The partition counts of every split come from one strip of
+:func:`success_pmf` counts, for each d, the user-to-token assignments
+that deliver d packets, so every mass is an integer multiple of
+tokens**-users.  The grant is uniform and the tokens are exchangeable,
+so the count is as if the k = min(active, data_slots) lowest-indexed
+active tokens were granted: a split into s singles and c collisions adds
+its assignments with the singles in given ranks, times the
+C(k, d) * C(s + c - k, s - d) rankings that put d singles among the
+granted.  The partition counts of every split come from one strip of
 rows users - min(tokens, users) .. users, built per configuration by
 :func:`~accessframe.combinatorics.stirling2_strip`.  Inputs whose strip
 or split sum would cost too much are refused before any work starts.
-All arithmetic is exact rational; the terms of the sum span many orders
-of magnitude and exact normalization is part of the contract.
+All arithmetic is on exact integers, so the masses sum to exactly 1.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ from operator import index as as_int
 
 from .combinatorics import (
     STRIP_WORK_LIMIT,
-    binomial,
-    falling_factorial,
     stirling2_assoc,
     stirling2_strip,
 )
@@ -98,21 +98,20 @@ def outcome_probability(config: SystemConfig, singles: int, collisions: int) -> 
             f"{singles} + {collisions} active tokens exceed {config.tokens}"
         )
     partitions = stirling2_assoc(config.users - singles, collisions)
-    weight = _outcome_weight(config, singles, collisions, partitions)
-    if weight == 0:
-        return Fraction(0)
-    return Fraction(weight, config.tokens**config.users)
+    count = _split_count(config, singles, collisions, partitions)
+    ranks = math.comb(singles + collisions, singles)
+    return Fraction(ranks * count, config.tokens**config.users)
 
 
-def _outcome_weight(config: SystemConfig, s: int, c: int, partitions: int) -> int:
-    """Number of user-to-token assignments realizing the split (s, c),
-    given ``partitions`` = S(users - s, c) from :func:`stirling2_strip`."""
+def _split_count(config: SystemConfig, s: int, c: int, partitions: int) -> int:
+    """Number of user-to-token assignments with s singles and c collisions
+    whose singles hold s given ranks among the s + c active tokens, given
+    ``partitions`` = S(users - s, c) from :func:`stirling2_strip`."""
     return (
-        binomial(config.tokens, s)
-        * falling_factorial(config.users, s)
-        * binomial(config.tokens - s, c)
-        * partitions
+        math.comb(config.tokens, s + c)
+        * math.perm(config.users, s)
         * math.factorial(c)
+        * partitions
     )
 
 
@@ -138,7 +137,7 @@ def success_pmf(config: SystemConfig) -> "SuccessPmf":
     """Exact pmf of the number of data-phase successes, over
     d = 0 .. min(tokens, data_slots, users).
 
-    Every mass is accumulated as integers over one common denominator and
+    Every mass is an integer count of assignments over tokens**users,
     reduced once, so the result is exact however wildly the terms differ
     in magnitude.  With no users the pmf is a point mass at zero.  Raises
     ``ValueError`` before any work when the split sum or the partition
@@ -156,26 +155,21 @@ def success_pmf(config: SystemConfig) -> "SuccessPmf":
     # S(t - s, c) for every c <= min(m - s, (t - s) // 2) a split reads
     strip = stirling2_strip(t, min(big_m, t // 2), t - m)
 
-    # (weight, s, c, draw size, subset count) for every split that can occur
-    terms: list[tuple[int, int, int, int, int]] = []
+    # assignments whose k lowest-indexed active tokens hold d singles
+    acc = [0] * (config.max_successes + 1)
     for s in range(m + 1):
         row = strip[m - s]
         for c in range(min(m - s, (t - s) // 2) + 1):
             if row[c] == 0:  # no users left over for zero collisions
                 continue
-            weight = _outcome_weight(config, s, c, row[c])
-            k = min(s + c, big_k)
-            terms.append((weight, s, c, k, math.comb(s + c, k)))
+            count = _split_count(config, s, c, row[c])
+            a = s + c
+            k = min(a, big_k)
+            for d in range(max(0, k - c), min(s, k) + 1):
+                acc[d] += count * (math.comb(k, d) * math.comb(a - k, s - d))
 
-    common = math.lcm(*(subsets for *_rest, subsets in terms)) if terms else 1
-    acc = [0] * (config.max_successes + 1)
-    for weight, s, c, k, subsets in terms:
-        scale = weight * (common // subsets)
-        for d in range(max(0, k - c), min(s, k) + 1):
-            acc[d] += scale * math.comb(s, d) * math.comb(c, k - d)
-
-    denominator = big_m**t * common
-    mass = tuple(Fraction(a, denominator) for a in acc)
+    assignments = big_m**t
+    mass = tuple(Fraction(n, assignments) for n in acc)
     return SuccessPmf(config=config, mass=mass, kind=PmfKind.EXACT)
 
 

@@ -8,8 +8,9 @@ and ``optimize-k`` (efficiency-maximizing data-phase size).  Results go
 to standard output or ``--output`` as CSV or JSON; diagnostics go to
 standard error only.
 
-Exit status: 0 on success, 1 when a value fails validation or the input
-is too large to compute, 2 on usage errors.
+Exit status: 0 on success, 1 when a value fails validation, the input
+is too large to compute or the output cannot be written, 2 on usage
+errors.
 """
 
 from __future__ import annotations
@@ -175,6 +176,11 @@ def _run_metrics(args: argparse.Namespace) -> str:
     return report.to_csv() if args.format == "csv" else report.to_json()
 
 
+def _is_int(value) -> bool:
+    """True for a JSON integer; ``bool`` is an ``int`` subclass but not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_range(value) -> tuple[int, int]:
     if isinstance(value, str):
         lo, sep, hi = value.partition(":")
@@ -184,10 +190,8 @@ def _parse_range(value) -> tuple[int, int]:
         except ValueError:
             pass
     elif isinstance(value, (list, tuple)) and len(value) == 2:
-        try:
-            return int(value[0]), int(value[1])
-        except (TypeError, ValueError):
-            pass
+        if all(_is_int(v) for v in value):
+            return value[0], value[1]
     raise ValueError(f"range must be LO:HI or a two-integer array, got {value!r}")
 
 
@@ -221,7 +225,7 @@ def _run_sweep(args: argparse.Namespace) -> str:
                 needed = "--tokens" if key == "tokens" else f"--{key} or config file"
                 raise ValueError(f"sweep needs {needed}")
             return fallback
-        if isinstance(value, int):
+        if _is_int(value):
             return value
         raise ValueError(f"{key} must be an integer, got {value!r}")
 
@@ -293,5 +297,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(document, args.output)
+    try:
+        _emit(document, args.output)
+    except OSError as exc:
+        target = args.output or "standard output"
+        print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     return 0

@@ -8,6 +8,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from accessframe.analysis import (
     PmfKind,
@@ -128,6 +130,41 @@ def test_success_pmf_deep_load_is_normalized_with_occupancy_mean():
     pmf = success_pmf(cfg)
     assert pmf.total() == 1
     assert pmf.mean() == expected_successes_by_occupancy(8, 4, 1600)
+
+
+tokens = st.integers(1, 10)
+slots = st.integers(1, 10)
+users = st.integers(0, 30)
+
+
+@settings(deadline=None)
+@given(tokens, slots, users)
+def test_success_pmf_masses_sum_to_one(m, k, t):
+    assert success_pmf(SystemConfig(m, k, t)).total() == 1
+
+
+@settings(deadline=None)
+@given(tokens, slots, users)
+def test_success_pmf_masses_are_assignment_counts(m, k, t):
+    # every mass counts some of the m**t equally likely assignments
+    for p in success_pmf(SystemConfig(m, k, t)).mass:
+        assert (p * m**t).denominator == 1
+
+
+@settings(deadline=None)
+@given(tokens, slots, users)
+def test_success_pmf_mean_matches_occupancy_sum(m, k, t):
+    mean = success_pmf(SystemConfig(m, k, t)).mean()
+    assert mean == expected_successes_by_occupancy(m, k, t)
+
+
+@settings(deadline=None)
+@given(tokens, st.integers(0, 10), users)
+def test_success_pmf_is_constant_once_slots_cover_active_tokens(m, extra, t):
+    # at most min(m, t) tokens are active, so more slots change nothing
+    k = max(1, min(m, t))
+    wide = success_pmf(SystemConfig(m, k + extra, t))
+    assert wide.mass == success_pmf(SystemConfig(m, k, t)).mass
 
 
 def test_success_pmf_refuses_oversized_inputs_before_building():

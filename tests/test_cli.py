@@ -97,13 +97,18 @@ def test_usage_failure_exits_two(capsys):
 
 
 def test_oversized_input_exits_one_with_hint(capsys):
-    # the first input has too large a partition strip, the second too
-    # large a split sum
-    for tokens, users in [("64", "20000"), ("1000", "1000")]:
+    # too large a partition strip, too large a split sum, and simulation
+    # blocks too large to hold in memory
+    simulation = ("--tokens", "8", "--slots", "4", "--users", "20000",
+                  "--seed", "1", "--iterations", "100000")
+    for argv in [
+        ("pmf", "--tokens", "64", "--slots", "8", "--users", "20000"),
+        ("pmf", "--tokens", "1000", "--slots", "8", "--users", "1000"),
+        ("simulate", *simulation),
+        ("compare", *simulation),
+    ]:
         start = time.perf_counter()
-        code, out, err = run_cli(
-            capsys, "pmf", "--tokens", tokens, "--slots", "8", "--users", users,
-        )
+        code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 2.0
         assert code == 1
         assert out == ""
@@ -148,6 +153,18 @@ def test_output_flag_writes_file_and_keeps_stdout_quiet(capsys, tmp_path):
     assert out == ""
     code, out, _ = run_cli(capsys, *argv)
     assert target.read_text() == out
+
+
+def test_output_to_unwritable_path_exits_one(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(
+        capsys, "pmf", "--tokens", "2", "--slots", "1", "--users", "2",
+        "--output", str(target),
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert not target.parent.exists()
 
 
 def test_compare_reference_point_stays_close(capsys):
@@ -244,13 +261,21 @@ def test_sweep_without_axis_exits_one(capsys):
 
 def test_sweep_rejects_non_integer_config_values(capsys, tmp_path):
     config = tmp_path / "sweep.json"
-    config.write_text(json.dumps(
-        {"tokens": "8", "slots": 4, "axis": "users", "range": [1, 3]}
-    ))
-    code, out, err = run_cli(capsys, "sweep", "--config", str(config))
-    assert code == 1
-    assert out == ""
-    assert "tokens" in err
+    base = {"tokens": 8, "slots": 4, "axis": "users", "range": [1, 3]}
+    # bool is an int subclass and int() truncates floats; neither may pass
+    for key, value in [
+        ("tokens", "8"),
+        ("tokens", True),
+        ("users", False),
+        ("range", [1.9, 2]),
+        ("range", [True, 3]),
+        ("range", ["1", "3"]),
+    ]:
+        config.write_text(json.dumps({**base, key: value}))
+        code, out, err = run_cli(capsys, "sweep", "--config", str(config))
+        assert code == 1, (key, value)
+        assert out == ""
+        assert key in err
 
 
 def test_sweep_missing_config_file_exits_one(capsys, tmp_path):

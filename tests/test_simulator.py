@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import statistics
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -163,6 +164,25 @@ def test_estimate_pmf_spans_block_boundaries():
     n = (1 << 15) + 17
     report = estimate_pmf(SimParams(SystemConfig(4, 2, 6), iterations=n, seed=3))
     assert sum(report.counts) == n
+
+
+def test_estimate_pmf_refuses_oversized_blocks_before_drawing():
+    # a full block of 20000 users would hold gigabytes of choices
+    tracemalloc.start()
+    try:
+        for mode in DetectionMode:
+            params = SimParams(
+                SystemConfig(8, 4, 20000), iterations=100000, seed=1, mode=mode
+            )
+            with pytest.raises(ValueError, match="fewer users or tokens"):
+                estimate_pmf(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    # the limit applies to the block actually drawn, not to a full one
+    small = estimate_pmf(SimParams(SystemConfig(8, 4, 20000), iterations=10, seed=1))
+    assert sum(small.counts) == 10
 
 
 def test_ternary_beats_binary_rate_under_load():
