@@ -22,7 +22,7 @@ import sys
 
 from .analysis import SystemConfig, success_pmf
 from .metrics import Axis, frame_metrics, optimal_data_slots, sweep
-from .simulator import DetectionMode, SimParams, compare_to_exact, estimate_pmf
+from .simulator import DetectionMode, SimParams, _compare, estimate_pmf
 
 __all__ = ["build_parser", "main"]
 
@@ -251,12 +251,12 @@ def _run_simulate(args: argparse.Namespace) -> str:
 
 
 def _run_compare(args: argparse.Namespace) -> str:
-    params = SimParams(
-        config=SystemConfig(args.tokens, args.slots, args.users),
-        iterations=args.iterations,
-        seed=args.seed,
-    )
-    record = compare_to_exact(estimate_pmf(params))
+    config = SystemConfig(args.tokens, args.slots, args.users)
+    params = SimParams(config=config, iterations=args.iterations, seed=args.seed)
+    # the exact pmf first: an input too large for it is refused before
+    # any frame is drawn
+    exact = success_pmf(config)
+    record = _compare(estimate_pmf(params), exact)
     return record.to_csv() if args.format == "csv" else record.to_json()
 
 

@@ -250,15 +250,17 @@ def sweep(base: SystemConfig, axis: Axis | str, values: Iterable[int]) -> SweepR
 def optimal_data_slots(tokens: int, users: int, k_max: int) -> tuple[int, Fraction]:
     """Data-phase size maximizing efficiency, searched exhaustively.
 
-    Scans data_slots = 1 .. k_max and returns (best size, its
-    efficiency).  Ties go to the smallest size: equal efficiency with a
-    shorter frame is strictly more useful.
+    Scans data_slots = 1 .. min(k_max, tokens, users) and returns (best
+    size, its efficiency).  Ties go to the smallest size: equal
+    efficiency with a shorter frame is strictly more useful.  At most
+    min(tokens, users) tokens are active, so a larger data phase leaves
+    the pmf unchanged and only lengthens the frame.
     """
     tokens, users, k_max = as_int(tokens), as_int(users), as_int(k_max)
     if tokens < 1 or users < 1 or k_max < 1:
         raise ValueError("tokens, users and k_max must all be >= 1")
     best_k, best_value = 1, efficiency(SystemConfig(tokens, 1, users))
-    for k in range(2, k_max + 1):
+    for k in range(2, min(k_max, tokens, users) + 1):
         value = efficiency(SystemConfig(tokens, k, users))
         if value > best_value:
             best_k, best_value = k, value

@@ -14,6 +14,10 @@ user activated it.  Two detection modes:
 :func:`estimate_pmf` tallies the per-frame success count over N
 independent frames of one seeded stream; identical parameters give a
 bit-identical report.  Empirical masses are exact multiples of 1/N.
+A uniform grant of min(a, data_slots) of the a active tokens delivers a
+hypergeometric number of the frame's singles, so the binary tally draws
+that count directly; :func:`simulate_frame` draws the granted tokens
+themselves.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ __all__ = [
 
 #: Generator behind every simulation; recorded in each report so the
 #: numbers can be regenerated by any implementation of this algorithm.
-RNG_ALGORITHM = "numpy-pcg64"
+RNG_ALGORITHM = "numpy-pcg64/v2"
 
 #: Frames drawn per vectorized block inside :func:`estimate_pmf`.  Fixed
 #: so that a given (seed, config, mode) always consumes the stream the
@@ -53,8 +57,9 @@ _BLOCK_FRAMES = 1 << 15
 
 #: Largest working set :func:`estimate_pmf` agrees to allocate for one
 #: block, in estimated bytes: per frame, 16 per user (the int64 choices
-#: and their offset copy) and 40 per token (counts, priorities and the
-#: grant's temporaries), which bounds the peak that tracemalloc reports.
+#: and their offset copy) and 40 per token (the int64 counts and the
+#: singles and active-token masks), an upper bound on the peak that
+#: tracemalloc reports.
 #: The largest block the benchmark workloads draw (128 tokens, 160 users)
 #: is estimated at 0.25 GB, 12x below the limit.
 _BLOCK_BYTES_LIMIT = 3_000_000_000
@@ -126,22 +131,19 @@ def simulate_frame(
 ) -> FrameTrace:
     """Run one frame and return its full trace.
 
-    The granted subset is the min(eligible, data_slots) eligible tokens
-    with the highest of M fresh uniform priorities; distinct priorities
-    make every eligible subset of that size equally likely.
+    The granted subset is min(eligible, data_slots) eligible tokens
+    drawn uniformly without replacement.
     """
     mode = DetectionMode(mode)
     choices = rng.integers(0, config.tokens, size=config.users)
     counts = np.bincount(choices, minlength=config.tokens)
-    priorities = rng.random(config.tokens)
 
     if mode is DetectionMode.BINARY:
         eligible = np.flatnonzero(counts)
     else:
         eligible = np.flatnonzero(counts == 1)
     grant = min(len(eligible), config.data_slots)
-    order = np.argsort(-priorities[eligible], kind="stable")
-    selected = eligible[order[:grant]]
+    selected = rng.choice(eligible, size=grant, replace=False)
 
     return FrameTrace(
         config=config,
@@ -150,31 +152,6 @@ def simulate_frame(
         selected=tuple(sorted(int(tok) for tok in selected)),
         successes=int(np.count_nonzero(counts[selected] == 1)),
     )
-
-
-def _binary_block_successes(
-    counts: np.ndarray, priorities: np.ndarray, data_slots: int
-) -> np.ndarray:
-    """Per-frame success counts for a block of binary-mode frames.
-
-    Where every active token fits in the data phase the successes are
-    just the singles; otherwise count singles among the data_slots
-    highest-priority active tokens (inactive tokens are ranked -inf, so
-    they can never be granted while active ones remain).
-    """
-    singles = counts == 1
-    successes = singles.sum(axis=1)
-    active = counts > 0
-    if data_slots >= counts.shape[1]:
-        return successes
-    crowded = active.sum(axis=1) > data_slots
-    if crowded.any():
-        ranked = np.where(active[crowded], priorities[crowded], -np.inf)
-        top = np.argpartition(-ranked, data_slots - 1, axis=1)[:, :data_slots]
-        successes[crowded] = np.take_along_axis(
-            singles[crowded], top, axis=1
-        ).sum(axis=1)
-    return successes
 
 
 @dataclass(frozen=True)
@@ -229,10 +206,11 @@ def estimate_pmf(params: SimParams) -> EmpiricalReport:
     """Estimate the success pmf from ``params.iterations`` frames.
 
     Frames are drawn in fixed-size blocks: each block draws all its
-    user choices, then (binary mode only) all its grant priorities, so
-    the stream layout depends only on the parameters.  In ternary mode
-    the success count is min(singles, data_slots) whichever singles are
-    granted, so no priorities are consumed.  Raises ``ValueError``
+    user choices, then (binary mode only) one hypergeometric success
+    count per frame, so the stream layout depends only on the
+    parameters.  In ternary mode the success count is
+    min(singles, data_slots) whichever singles are granted, so no grant
+    draws are consumed.  Raises ``ValueError``
     before drawing when one block would need more than
     :data:`_BLOCK_BYTES_LIMIT` bytes.
     """
@@ -258,11 +236,14 @@ def estimate_pmf(params: SimParams) -> EmpiricalReport:
         counts = np.bincount(
             (choices + offsets[:, None]).ravel(), minlength=block * cfg.tokens
         ).reshape(block, cfg.tokens)
+        singles = (counts == 1).sum(axis=1)
         if params.mode is DetectionMode.BINARY:
-            priorities = rng.random((block, cfg.tokens))
-            successes = _binary_block_successes(counts, priorities, cfg.data_slots)
+            active = np.count_nonzero(counts, axis=1)
+            successes = rng.hypergeometric(
+                singles, active - singles, np.minimum(active, cfg.data_slots)
+            )
         else:
-            successes = np.minimum((counts == 1).sum(axis=1), cfg.data_slots)
+            successes = np.minimum(singles, cfg.data_slots)
         tally += np.bincount(successes, minlength=len(tally))
 
     raw = tuple(int(n) for n in tally)
@@ -322,7 +303,12 @@ def compare_to_exact(report: EmpiricalReport) -> ComparisonRecord:
     """
     if report.params.mode is not DetectionMode.BINARY:
         raise ValueError("no exact reference for ternary detection")
-    exact = success_pmf(report.params.config)
+    return _compare(report, success_pmf(report.params.config))
+
+
+def _compare(report: EmpiricalReport, exact: SuccessPmf) -> ComparisonRecord:
+    """:func:`compare_to_exact` against an exact pmf the caller built
+    (and whose cost guard it settled) before simulating."""
     gaps = [abs(a - b) for a, b in zip(report.pmf_hat.mass, exact.mass)]
     return ComparisonRecord(
         params=report.params,

@@ -10,6 +10,7 @@ import time
 import pytest
 
 from accessframe.analysis import SuccessPmf, SystemConfig
+from accessframe import cli
 from accessframe.cli import FORMAT_ENV, main
 from accessframe.metrics import Axis, frame_metrics, sweep
 from accessframe.simulator import SimParams, compare_to_exact, estimate_pmf
@@ -115,6 +116,20 @@ def test_oversized_input_exits_one_with_hint(capsys):
         assert err.startswith("error: ") and "fewer users or tokens" in err
 
 
+def test_compare_refuses_oversized_exact_pmf_before_simulating(capsys, monkeypatch):
+    def no_simulation(params):
+        raise AssertionError("compare simulated before checking the exact pmf")
+
+    monkeypatch.setattr(cli, "estimate_pmf", no_simulation)
+    code, out, err = run_cli(
+        capsys, "compare", "--tokens", "1000", "--slots", "8", "--users", "1000",
+        "--seed", "1", "--iterations", "30000",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "fewer users or tokens" in err
+
+
 def test_simulate_is_reproducible(capsys):
     argv = (
         "simulate", "--tokens", "8", "--slots", "4", "--users", "12",
@@ -125,7 +140,7 @@ def test_simulate_is_reproducible(capsys):
     assert code_a == code_b == 0
     assert out_a == out_b
     payload = json.loads(out_a)
-    assert payload["rng"] == "numpy-pcg64"
+    assert payload["rng"] == "numpy-pcg64/v2"
     assert payload["seed"] == 42
     assert sum(payload["counts"]) == 2000
 

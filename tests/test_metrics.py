@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from accessframe.analysis import SystemConfig
+from accessframe import metrics
+from accessframe.analysis import SystemConfig, success_pmf
 from accessframe.metrics import (
     CSV_HEADER,
     Axis,
@@ -166,13 +167,30 @@ def test_optimal_data_slots_stays_below_token_count_under_load():
 
 
 def test_optimal_data_slots_is_exhaustively_optimal():
-    for tokens, users, k_max in [(3, 5, 6), (8, 12, 8), (2, 2, 4)]:
+    for tokens, users, k_max in [
+        (3, 5, 6), (8, 12, 8), (2, 2, 4), (8, 12, 20), (3, 5, 40)
+    ]:
         best_k, best_rho = optimal_data_slots(tokens, users, k_max)
         for k in range(1, k_max + 1):
             rho = efficiency(SystemConfig(tokens, k, users))
             assert rho <= best_rho
             if rho == best_rho:
                 assert best_k <= k  # ties break to the shorter frame
+
+
+def test_optimal_data_slots_stops_once_slots_cover_active_tokens(monkeypatch):
+    # past K = min(M, T) the pmf is constant and efficiency only falls
+    calls = []
+
+    def counting_pmf(config):
+        calls.append(config)
+        return success_pmf(config)
+
+    monkeypatch.setattr(metrics, "success_pmf", counting_pmf)
+    for tokens, users in [(8, 12), (12, 5), (3, 3)]:
+        calls.clear()
+        optimal_data_slots(tokens, users, 50)
+        assert len(calls) <= min(tokens, users)
 
 
 def test_optimal_data_slots_validation():
