@@ -3,7 +3,8 @@ Success rate and efficiency across the load axis
 ================================================
 
 Tabulates the two headline metrics while the number of contending
-users grows, for three data-phase sizes, all from the exact pmf.
+users grows, for three data-phase sizes, all exact and from the mean
+success count alone.
 """
 
 from accessframe import Axis, SystemConfig, frame_metrics, sweep

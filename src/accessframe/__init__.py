@@ -16,12 +16,7 @@ from .analysis import (
     outcome_probability,
     success_pmf,
 )
-from .combinatorics import (
-    binomial,
-    falling_factorial,
-    hypergeometric_pmf,
-    stirling2_assoc,
-)
+from .combinatorics import stirling2_assoc
 from .metrics import (
     Axis,
     FrameMetrics,
@@ -55,9 +50,6 @@ __all__ = [
     "SystemConfig",
     "outcome_probability",
     "success_pmf",
-    "binomial",
-    "falling_factorial",
-    "hypergeometric_pmf",
     "stirling2_assoc",
     "Axis",
     "FrameMetrics",

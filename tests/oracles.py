@@ -95,15 +95,17 @@ def hypergeometric_by_enumeration(s: int, c: int, k: int) -> dict[int, Fraction]
     return {d: Fraction(count, n_subsets) for d, count in sorted(outcomes.items())}
 
 
-def pascal_triangle(max_n: int) -> list[list[int]]:
-    """Rows 0..max_n built purely by addition."""
-    rows = [[1]]
-    for n in range(1, max_n + 1):
-        prev = rows[-1]
-        rows.append(
-            [1] + [prev[j - 1] + prev[j] for j in range(1, n)] + [1]
-        )
-    return rows
+@lru_cache(maxsize=None)
+def surjection_counts(n: int) -> dict[int, int]:
+    """Map j -> number of maps from an n-element set onto a j-element set,
+    by listing every map into each j-set and keeping those that hit every
+    element."""
+    counts = {}
+    for j in range(n + 1):
+        onto = sum(1 for f in product(range(j), repeat=n) if len(set(f)) == j)
+        if onto:
+            counts[j] = onto
+    return counts
 
 
 def expected_successes_by_occupancy(tokens: int, slots: int, users: int) -> Fraction:

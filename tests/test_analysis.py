@@ -18,8 +18,12 @@ from accessframe.analysis import (
     outcome_probability,
     success_pmf,
 )
-from accessframe.combinatorics import hypergeometric_pmf, stirling2_strip
-from oracles import brute_force_pmf, expected_successes_by_occupancy
+from accessframe.combinatorics import stirling2_strip
+from oracles import (
+    brute_force_pmf,
+    expected_successes_by_occupancy,
+    hypergeometric_by_enumeration,
+)
 
 
 def test_config_validation():
@@ -120,8 +124,8 @@ def test_success_pmf_is_split_mixture_of_hypergeometrics():
                 if p_split == 0:
                     continue
                 k = min(s + c, cfg.data_slots)
-                for d in range(max(0, k - c), min(s, k) + 1):
-                    direct[d] += p_split * hypergeometric_pmf(s, c, k, d)
+                for d, p_grant in hypergeometric_by_enumeration(s, c, k).items():
+                    direct[d] += p_split * p_grant
         assert success_pmf(cfg).mass == tuple(direct), cfg
 
 

@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +15,7 @@ from accessframe import cli
 from accessframe.cli import FORMAT_ENV, main
 from accessframe.metrics import Axis, frame_metrics, sweep
 from accessframe.simulator import SimParams, compare_to_exact, estimate_pmf
+from oracles import expected_successes_by_occupancy
 
 
 @pytest.fixture(autouse=True)
@@ -98,8 +100,8 @@ def test_usage_failure_exits_two(capsys):
 
 
 def test_oversized_input_exits_one_with_hint(capsys):
-    # too large a partition strip, too large a split sum, and simulation
-    # blocks too large to hold in memory
+    # too large a partition strip, too large a split sum, simulation
+    # blocks too large to hold in memory, and too large a surjection row
     simulation = ("--tokens", "8", "--slots", "4", "--users", "20000",
                   "--seed", "1", "--iterations", "100000")
     for argv in [
@@ -107,6 +109,9 @@ def test_oversized_input_exits_one_with_hint(capsys):
         ("pmf", "--tokens", "1000", "--slots", "8", "--users", "1000"),
         ("simulate", *simulation),
         ("compare", *simulation),
+        ("pmf", "--tokens", "600", "--slots", "8", "--users", "600"),
+        ("pmf", "--tokens", "600", "--slots", "300", "--users", "600"),
+        ("metrics", "--tokens", "64", "--slots", "8", "--users", "20000"),
     ]:
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
@@ -128,6 +133,17 @@ def test_compare_refuses_oversized_exact_pmf_before_simulating(capsys, monkeypat
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "fewer users or tokens" in err
+
+
+def test_metrics_fit_where_the_pmf_does_not(capsys):
+    # one surjection row at M = T = 1000; the pmf's split sum is refused
+    code, out, err = run_cli(
+        capsys, "metrics", "--tokens", "1000", "--slots", "100", "--users", "1000"
+    )
+    assert code == 0 and err == ""
+    assert Fraction(json.loads(out)["expected_successes"]) == (
+        expected_successes_by_occupancy(1000, 100, 1000)
+    )
 
 
 def test_simulate_is_reproducible(capsys):

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -11,50 +11,14 @@ from hypothesis import strategies as st
 
 from accessframe.combinatorics import (
     STRIP_WORK_LIMIT,
-    binomial,
-    falling_factorial,
-    hypergeometric_pmf,
+    SURJECTION_WORK_LIMIT,
     stirling2_assoc,
     stirling2_strip,
     strip_work,
+    surjection_rows,
+    surjection_work,
 )
-from oracles import (
-    hypergeometric_by_enumeration,
-    min_size2_partition_counts,
-    pascal_triangle,
-)
-
-
-def test_binomial_matches_pascal_triangle():
-    triangle = pascal_triangle(40)
-    for n in range(41):
-        for k in range(n + 1):
-            assert binomial(n, k) == triangle[n][k]
-
-
-def test_binomial_out_of_range_is_zero():
-    assert binomial(5, -1) == 0
-    assert binomial(5, 6) == 0
-    assert binomial(0, 0) == 1
-
-
-def test_binomial_rejects_negative_n():
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-
-
-def test_falling_factorial_values():
-    assert falling_factorial(5, 0) == 1
-    assert falling_factorial(5, 2) == 20
-    assert falling_factorial(5, 5) == 120
-    assert falling_factorial(3, 4) == 0  # more factors than items
-
-
-def test_falling_factorial_rejects_negatives():
-    with pytest.raises(ValueError):
-        falling_factorial(-1, 1)
-    with pytest.raises(ValueError):
-        falling_factorial(3, -1)
+from oracles import min_size2_partition_counts, surjection_counts
 
 
 def test_stirling_base_case():
@@ -165,39 +129,51 @@ def test_strip_rejects_bad_shapes():
         stirling2_strip(5, 2, 6)
 
 
-def test_hypergeometric_hand_values():
-    # 2 singles, 1 collision, 2 slots drawn
-    assert hypergeometric_pmf(2, 1, 2, 1) == Fraction(2, 3)
-    assert hypergeometric_pmf(2, 1, 2, 2) == Fraction(1, 3)
-    assert hypergeometric_pmf(2, 1, 2, 0) == 0
-    assert hypergeometric_pmf(3, 2, 5, 3) == 1  # draw everything
+def _rows(rows: int, cols: int) -> list[tuple[int, ...]]:
+    return list(surjection_rows(rows, cols))
 
 
-def test_hypergeometric_matches_enumeration():
-    for s in range(5):
-        for c in range(5):
-            for k in range(s + c + 1):
-                expected = hypergeometric_by_enumeration(s, c, k)
-                for d in range(k + 1):
-                    assert hypergeometric_pmf(s, c, k, d) == expected.get(
-                        d, Fraction(0)
-                    ), (s, c, k, d)
+def test_surjection_rows_match_map_enumeration():
+    for cols in range(8):
+        for n, row in enumerate(_rows(6, cols)):
+            counts = surjection_counts(n)
+            assert row == tuple(counts.get(j, 0) for j in range(min(cols, n) + 1))
 
 
-def test_hypergeometric_sums_to_one():
-    for s in range(6):
-        for c in range(6):
-            for k in range(s + c + 1):
-                total = sum(hypergeometric_pmf(s, c, k, d) for d in range(k + 1))
-                assert total == 1, (s, c, k)
+@settings(deadline=None)
+@given(st.integers(0, 150), st.integers(0, 30))
+def test_surjection_rows_match_inclusion_exclusion(rows, cols):
+    # surj(n, j) = sum_i (-1)**(j - i) * C(j, i) * i**n
+    for n, row in enumerate(_rows(rows, cols)):
+        assert len(row) == min(cols, n) + 1
+        for j, value in enumerate(row):
+            assert value == sum(
+                (-1) ** (j - i) * comb(j, i) * i**n for i in range(j + 1)
+            ), (n, j)
 
 
-def test_hypergeometric_rejects_bad_arguments():
+@settings(deadline=None)
+@given(st.integers(0, 400), st.integers(0, 60))
+def test_surjection_work_bounds_row_size(rows, cols):
+    # the estimate is meant as an upper bound on the digits it rolls
+    bits = sum(v.bit_length() for row in surjection_rows(rows, cols) for v in row)
+    assert surjection_work(rows, cols) >= bits
+
+
+def test_surjection_rows_refuse_oversized_inputs_before_building():
+    # the largest benchmark row passes with 100x headroom; tokens =
+    # users = 1000 in the metrics passes too
+    assert surjection_work(255, 127) * 100 < SURJECTION_WORK_LIMIT
+    assert surjection_work(999, 999) < SURJECTION_WORK_LIMIT
+    assert surjection_work(19999, 63) > SURJECTION_WORK_LIMIT
+    with pytest.raises(ValueError, match="fewer users or tokens"):
+        surjection_rows(19999, 63)  # refused on the call, not on the first row
+    with pytest.raises(ValueError, match="fewer users or tokens"):
+        surjection_rows(10**9, 10**8)  # the estimate itself stops early
+
+
+def test_surjection_rows_reject_bad_shapes():
     with pytest.raises(ValueError):
-        hypergeometric_pmf(-1, 0, 0, 0)
+        surjection_rows(-1, 2)
     with pytest.raises(ValueError):
-        hypergeometric_pmf(0, -1, 0, 0)
-    with pytest.raises(ValueError):
-        hypergeometric_pmf(1, 1, -1, 0)
-    with pytest.raises(ValueError):
-        hypergeometric_pmf(1, 1, 3, 1)  # cannot draw more than s + c
+        surjection_rows(5, -1)

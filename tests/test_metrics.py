@@ -6,6 +6,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from accessframe import metrics
 from accessframe.analysis import SystemConfig, success_pmf
@@ -21,6 +23,7 @@ from accessframe.metrics import (
     success_rate,
     sweep,
 )
+from oracles import expected_successes_by_occupancy
 
 
 def test_success_rate_values():
@@ -179,18 +182,79 @@ def test_optimal_data_slots_is_exhaustively_optimal():
 
 
 def test_optimal_data_slots_stops_once_slots_cover_active_tokens(monkeypatch):
-    # past K = min(M, T) the pmf is constant and efficiency only falls
-    calls = []
+    # past K = min(M, T) the mean is constant and efficiency only falls;
+    # the scan reads every K from one surjection row
+    slots_read, rows_built = [], []
+    mean_by_slots = metrics._mean_by_slots
+    surjection_rows = metrics.surjection_rows
 
-    def counting_pmf(config):
-        calls.append(config)
-        return success_pmf(config)
+    def counting_mean(tokens, users, evaluations):
+        mean = mean_by_slots(tokens, users, evaluations)
 
-    monkeypatch.setattr(metrics, "success_pmf", counting_pmf)
+        def counted(slots):
+            slots_read.append(slots)
+            return mean(slots)
+
+        return counted
+
+    def counting_rows(rows, cols):
+        rows_built.append((rows, cols))
+        return surjection_rows(rows, cols)
+
+    monkeypatch.setattr(metrics, "_mean_by_slots", counting_mean)
+    monkeypatch.setattr(metrics, "surjection_rows", counting_rows)
     for tokens, users in [(8, 12), (12, 5), (3, 3)]:
-        calls.clear()
+        slots_read.clear()
+        rows_built.clear()
         optimal_data_slots(tokens, users, 50)
-        assert len(calls) <= min(tokens, users)
+        assert slots_read == list(range(1, min(tokens, users) + 1))
+        assert len(rows_built) == 1
+
+
+def test_expected_successes_is_the_pmf_mean():
+    for tokens in range(1, 13):
+        for slots in range(1, 13):
+            for users in range(0, 15):
+                cfg = SystemConfig(tokens, slots, users)
+                assert expected_successes(cfg) == success_pmf(cfg).mean(), cfg
+    cfg = SystemConfig(128, 32, 256)
+    assert expected_successes(cfg) == success_pmf(cfg).mean()
+
+
+@settings(deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 120))
+def test_expected_successes_matches_occupancy_sum(tokens, slots, users):
+    assert expected_successes(
+        SystemConfig(tokens, slots, users)
+    ) == expected_successes_by_occupancy(tokens, slots, users)
+
+
+def test_scans_equal_fresh_metrics_per_row():
+    # a users sweep rolls one row forward, a data-slots sweep and the
+    # optimizer read one row; each row must equal a fresh evaluation
+    by_users = sweep(SystemConfig(24, 6, 1), Axis.USERS, (1, 2, 5, 23, 24, 25, 60))
+    by_slots = sweep(SystemConfig(24, 1, 40), Axis.DATA_SLOTS, (1, 7, 24, 25, 90))
+    for row in by_users.rows + by_slots.rows:
+        assert row == frame_metrics(row.config)
+    best_k, best_rho = optimal_data_slots(24, 40, 30)
+    assert best_rho == efficiency(SystemConfig(24, best_k, 40))
+
+
+def test_metrics_refuse_oversized_inputs_before_building(monkeypatch):
+    def no_rows(rows, cols):
+        raise AssertionError("a row was built before the cost guard")
+
+    monkeypatch.setattr(metrics, "surjection_rows", no_rows)
+    for call in [
+        lambda: frame_metrics(SystemConfig(64, 8, 20000)),
+        lambda: optimal_data_slots(64, 20000, 8),
+        lambda: sweep(SystemConfig(64, 8, 1), Axis.USERS, range(19990, 20001)),
+        # each row is within the limit, the sums over 1000 of them are not
+        lambda: sweep(SystemConfig(1000, 100, 1), Axis.USERS, range(1, 1001)),
+        lambda: sweep(SystemConfig(64, 1, 20000), Axis.DATA_SLOTS, (1, 2)),
+    ]:
+        with pytest.raises(ValueError, match="fewer users or tokens"):
+            call()
 
 
 def test_optimal_data_slots_validation():
