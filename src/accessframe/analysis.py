@@ -8,16 +8,26 @@ granted token delivers its packet iff exactly one user activated it.
 
 :func:`success_pmf` counts, for each d, the user-to-token assignments
 that deliver d packets, so every mass is an integer multiple of
-tokens**-users.  The grant is uniform and the tokens are exchangeable,
-so the count is as if the k = min(active, data_slots) lowest-indexed
-active tokens were granted: a split into s singles and c collisions adds
-its assignments with the singles in given ranks, times the
-C(k, d) * C(s + c - k, s - d) rankings that put d singles among the
-granted.  The partition counts of every split come from one strip of
-rows users - min(tokens, users) .. users, built per configuration by
-:func:`~accessframe.combinatorics.stirling2_strip`.  Inputs whose strip
-or split sum would cost too much are refused before any work starts.
-All arithmetic is on exact integers, so the masses sum to exactly 1.
+tokens**-users.  The counts come from the binomial moments
+B_r = E[C(S, r)] of the success count S (Feller, vol. 1, ch. IV, sec. 3).
+Fix r tokens among a active ones to be singles: distinct users fill them
+in (T)_r ways, the other users cover the other a - r active tokens, and
+all r are granted with probability (k)_r / (a)_r, k = min(a, K).  Summed
+over the active sets and the r-subsets of each,
+
+    B_r * M**T = (T)_r * sum_{a=r}^{min(M, T)} C(M, a) * C(min(a, K), r)
+                 * surj(T - r, a - r),
+
+with surj(n, j) the number of maps from n users onto j tokens.  Moment r
+reads row T - r of :func:`~accessframe.combinatorics.surjection_rows`,
+so r = 0 .. min(M, K, T) reads rows T - min(M, K, T) .. T of one roll.
+Inverting the moments gives the counts,
+
+    P(S = d) * M**T = sum_{r >= d} (-1)**(r - d) * C(r, d) * B_r * M**T.
+
+Inputs whose roll, sums and reductions would cost too much are refused
+before any work starts.  All arithmetic is on exact integers, so the
+masses sum to exactly 1.
 """
 
 from __future__ import annotations
@@ -28,11 +38,14 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import index as as_int
+from operator import mul, sub
 
 from .combinatorics import (
-    STRIP_WORK_LIMIT,
+    SURJECTION_WORK_LIMIT,
+    _log2_binomial,
     stirling2_assoc,
-    stirling2_strip,
+    surjection_rows,
+    surjection_work,
 )
 
 __all__ = [
@@ -97,58 +110,55 @@ def outcome_probability(config: SystemConfig, singles: int, collisions: int) -> 
         raise ValueError(
             f"{singles} + {collisions} active tokens exceed {config.tokens}"
         )
+    # C(M, s) single tokens filled by distinct users, and (M - s)_c
+    # ordered collision tokens to label the blocks of the other users
     partitions = stirling2_assoc(config.users - singles, collisions)
-    count = _split_count(config, singles, collisions, partitions)
-    ranks = math.comb(singles + collisions, singles)
-    return Fraction(ranks * count, config.tokens**config.users)
-
-
-def _split_count(config: SystemConfig, s: int, c: int, partitions: int) -> int:
-    """Number of user-to-token assignments with s singles and c collisions
-    whose singles hold s given ranks among the s + c active tokens, given
-    ``partitions`` = S(users - s, c) from :func:`stirling2_strip`."""
-    return (
-        math.comb(config.tokens, s + c)
-        * math.perm(config.users, s)
-        * math.factorial(c)
+    count = (
+        math.comb(config.tokens, singles)
+        * math.perm(config.users, singles)
+        * math.perm(config.tokens - singles, collisions)
         * partitions
     )
+    return Fraction(count, config.tokens**config.users)
 
 
-#: Measured cost of building one split's count in :func:`success_pmf`, in
-#: passes over its tokens**users-wide bits; each grant term d of the split
-#: then adds one more pass.
-_SPLIT_COUNT_PASSES = 16
+#: Fixed costs of :func:`success_pmf` beyond its bigint digits, in the
+#: bit-operations of :func:`~accessframe.combinatorics.surjection_work`:
+#: building one moment weight and adding its product (measured at about
+#: 200 ns), and one inversion step over one count (about 40 ns).
+_WEIGHT_BITS = 2000
+_STEP_BITS = 400
 
 
-def _split_sum_work(config: SystemConfig) -> float:
-    """Estimated work of the split sum in :func:`success_pmf`, in the
-    bit-operations of :func:`~accessframe.combinatorics.strip_work`.
+def _pmf_work(config: SystemConfig) -> float:
+    """Estimated work of :func:`success_pmf`, in the bit-operations of
+    :func:`~accessframe.combinatorics.surjection_work`.
 
-    Every split (s, c) builds its count from binomials, a falling
-    factorial and a factorial, below tokens**users and so
-    users * log2(tokens) bits wide, then adds one product per grant term
-    d = max(0, k - c) .. min(s, k), k = min(s + c, data_slots).  On a
-    2-core x86-64 host, at tokens = users = 100..400, building a count
-    took about 6.4 ns per bit and a grant term 0.5 ns per bit, so a
-    count is weighted :data:`_SPLIT_COUNT_PASSES` passes over its bits and
-    a term one; a pass then takes 0.4-0.7 ns, close to a strip
-    bit-operation (0.2-0.6 ns).  Rows of s are summed only until the
-    total passes :data:`STRIP_WORK_LIMIT`, so the estimate is cheap for
-    any input.
+    On top of the roll of rows 0 .. T capped at w = min(M, T) columns,
+    moment r multiplies the w - r + 1 entries of row T - r, together at
+    most (T - r) * log2((w - r)!) bits wide, by weights
+    C(M, a) * C(min(a, K), r) of at most ``weight_bits`` bits; step r of
+    the inversion updates top - r + 1 counts of at most ``count_bits``
+    bits, top = min(M, K, T); and each of the top + 1 masses reduces a
+    fraction over M**T.  Measured on a 2-core x86-64 host, a product costs
+    about one bit-operation per 64 bit pairs, as in the metrics, an
+    addition one per bit, and a reduction one per 32 squared bits.  Terms
+    of r are summed only until the total passes
+    :data:`~accessframe.combinatorics.SURJECTION_WORK_LIMIT`, so the
+    estimate is cheap for any input.
     """
-    t, big_k = config.users, config.data_slots
-    m = min(config.tokens, t)
-    bits = t * math.log2(config.tokens)
-    work = 0.0
-    for s in range(m + 1):
-        passes = 0
-        for c in range(min(m - s, (t - s) // 2) + 1):
-            k = min(s + c, big_k)
-            passes += _SPLIT_COUNT_PASSES + min(s, k) - max(0, k - c) + 1
-        work += passes * bits
-        if work > STRIP_WORK_LIMIT:
+    t, big_m = config.users, config.tokens
+    width, top = min(big_m, t), config.max_successes
+    work = surjection_work(t, width)
+    weight_bits = _log2_binomial(big_m, min(width, big_m // 2)) + top
+    count_bits = t * math.log2(big_m) + 2 * top
+    work += (top + 1) * count_bits**2 / 32
+    for r in range(top + 1):
+        if work > SURJECTION_WORK_LIMIT:
             break
+        row_bits = (t - r) * math.lgamma(width - r + 1) / math.log(2)
+        work += row_bits * weight_bits / 64 + (width - r + 1) * _WEIGHT_BITS
+        work += (top - r + 1) * (count_bits + _STEP_BITS)
     return work
 
 
@@ -159,36 +169,39 @@ def success_pmf(config: SystemConfig) -> "SuccessPmf":
     Every mass is an integer count of assignments over tokens**users,
     reduced once, so the result is exact however wildly the terms differ
     in magnitude.  With no users the pmf is a point mass at zero.  Raises
-    ``ValueError`` before any work when the split sum or the partition
-    counts would cost more than :data:`STRIP_WORK_LIMIT`.
+    ``ValueError`` before any work when the roll, the moment sums and the
+    reductions would together cost more than
+    :data:`~accessframe.combinatorics.SURJECTION_WORK_LIMIT`.
     """
     t, big_m, big_k = config.users, config.tokens, config.data_slots
-    m = min(big_m, t)
-    if _split_sum_work(config) > STRIP_WORK_LIMIT:
+    width, top = min(big_m, t), config.max_successes
+    work = _pmf_work(config)
+    if work > SURJECTION_WORK_LIMIT:
         raise ValueError(
-            f"the split sum for {big_m} tokens and {t} users needs more than "
-            f"the {STRIP_WORK_LIMIT:.2g} estimated bit-operations allowed; "
-            "use fewer users or tokens"
+            f"the exact pmf for {big_m} tokens and {t} users needs an "
+            f"estimated {work:.2g} or more bit-operations, over the limit of "
+            f"{SURJECTION_WORK_LIMIT:.2g}; use fewer users or tokens"
         )
-    # rows t - m .. t capped at min(M, t // 2) blocks: row m - s holds
-    # S(t - s, c) for every c <= min(m - s, (t - s) // 2) a split reads
-    strip = stirling2_strip(t, min(big_m, t // 2), t - m)
+    occupancies = [math.comb(big_m, a) for a in range(width + 1)]
+    moments = [0] * (top + 1)
+    for n, row in enumerate(surjection_rows(t, width)):
+        r = t - n
+        if r <= top:  # row n holds surj(T - r, a - r) for a = r .. width
+            weights = [
+                occupancies[a] * math.comb(min(a, big_k), r)
+                for a in range(r, width + 1)
+            ]
+            moments[r] = math.perm(t, r) * sum(map(mul, weights, row))
 
-    # assignments whose k lowest-indexed active tokens hold d singles
-    acc = [0] * (config.max_successes + 1)
-    for s in range(m + 1):
-        row = strip[m - s]
-        for c in range(min(m - s, (t - s) // 2) + 1):
-            if row[c] == 0:  # no users left over for zero collisions
-                continue
-            count = _split_count(config, s, c, row[c])
-            a = s + c
-            k = min(a, big_k)
-            for d in range(max(0, k - c), min(s, k) + 1):
-                acc[d] += count * (math.comb(k, d) * math.comb(a - k, s - d))
+    # the inversion is the coefficient list of sum_r B_r * (x - 1)**r,
+    # evaluated by Horner's rule: multiply by (x - 1), then add B_r
+    counts: list[int] = []
+    for moment in reversed(moments):
+        counts = list(map(sub, [0, *counts], [*counts, 0]))
+        counts[0] += moment
 
     assignments = big_m**t
-    mass = tuple(Fraction(n, assignments) for n in acc)
+    mass = tuple(Fraction(c, assignments) for c in counts)
     return SuccessPmf(config=config, mass=mass, kind=PmfKind.EXACT)
 
 

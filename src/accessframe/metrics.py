@@ -35,10 +35,15 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import index as as_int
 from operator import mul
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .analysis import SystemConfig
-from .combinatorics import SURJECTION_WORK_LIMIT, surjection_rows, surjection_work
+from .combinatorics import (
+    SURJECTION_WORK_LIMIT,
+    _log2_binomial,
+    surjection_rows,
+    surjection_work,
+)
 
 __all__ = [
     "Axis",
@@ -156,13 +161,20 @@ class FrameMetrics:
         return f"{CSV_HEADER}\n{row}\n"
 
 
-def _refuse_oversized(tokens: int, users: Iterable[int], means_per_row: int) -> None:
-    """Raise ``ValueError`` before any row is built when the bigint work
-    of the means would cost more than
+#: Measured fixed cost of one reported mean, in the bit-operations of
+#: :func:`~accessframe.combinatorics.surjection_work`: its metrics, its
+#: row of the report and that row's rendering, measured at 27-36 us per
+#: row of a long sweep on a 2-core x86-64 host.
+_MEAN_BITS = 300_000
+
+
+def _refuse_oversized(tokens: int, users: Sequence[int], means_per_row: int) -> None:
+    """Raise ``ValueError`` before any row is built when the work of the
+    means would cost more than
     :data:`~accessframe.combinatorics.SURJECTION_WORK_LIMIT`: rolling the
     surjection row for the largest of ``users``, one occupancy sum over
     the row of each entry of ``users``, and ``means_per_row`` exact means
-    reduced at each.
+    reported at each.
 
     A sum multiplies the w = min(tokens, t) entries of row t - 1, together
     at most (t - 1) * log2((w - 1)!) bits wide, by coefficients
@@ -171,34 +183,38 @@ def _refuse_oversized(tokens: int, users: Iterable[int], means_per_row: int) -> 
     Measured on a 2-core x86-64 host, in the units of
     :func:`~accessframe.combinatorics.surjection_work`, a product costs
     about one bit-operation per 64 bit pairs and a reduction one per 32
-    squared bits.
+    squared bits; every mean also costs :data:`_MEAN_BITS`.  That fixed
+    cost is charged first, so a sweep over too many values is refused
+    before its values are walked.
     """
-    users = [t for t in users if t >= 1]
-    if not users:
-        return
-    top = max(users)
-    width = min(tokens, top)
-    work = surjection_work(top - 1, width - 1)
-    coefficient_bits = (
-        math.comb(tokens, min(width, tokens // 2)).bit_length() + width.bit_length()
-    )
-    for t in users:
-        row_bits = (t - 1) * math.lgamma(min(tokens, t)) / math.log(2)
-        mean_bits = t * math.log2(tokens)
-        work += row_bits * coefficient_bits / 64 + means_per_row * mean_bits**2 / 32
-        if work > SURJECTION_WORK_LIMIT:
-            raise ValueError(
-                f"the mean successes for {tokens} tokens and up to {top} users "
-                f"need more than the {SURJECTION_WORK_LIMIT:.2g} estimated "
-                "bit-operations allowed; use fewer users or tokens"
-            )
+    work = len(users) * means_per_row * _MEAN_BITS
+    top = max(users) if work <= SURJECTION_WORK_LIMIT else 0
+    if top >= 1:
+        width = min(tokens, top)
+        work += surjection_work(top - 1, width - 1)
+        coefficient_bits = (
+            _log2_binomial(tokens, min(width, tokens // 2)) + width.bit_length()
+        )
+        for t in users:
+            if work > SURJECTION_WORK_LIMIT:
+                break
+            if t >= 1:
+                row_bits = (t - 1) * math.lgamma(min(tokens, t)) / math.log(2)
+                mean_bits = t * math.log2(tokens)
+                work += row_bits * coefficient_bits / 64
+                work += means_per_row * mean_bits**2 / 32
+    if work > SURJECTION_WORK_LIMIT:
+        raise ValueError(
+            f"computing {len(users) * means_per_row} mean success count(s) "
+            f"for {tokens} tokens needs more than the "
+            f"{SURJECTION_WORK_LIMIT:.2g} estimated bit-operations allowed; "
+            "use fewer users or tokens, or fewer sweep values"
+        )
 
 
-def _mean_by_slots(
-    tokens: int, users: int, evaluations: int
-) -> Callable[[int], Fraction]:
-    """E[S] at fixed tokens and users, as a function of the data slots,
-    for a caller that asks for ``evaluations`` values of it.
+def _numerators_by_slots(tokens: int, users: int) -> Callable[[int], int]:
+    """E[S] * tokens**users at fixed tokens and users, as a function of
+    the data slots.
 
     With w_a = C(M, a) * surj(T - 1, a - 1) the sum in the module
     docstring splits at K into sum_{a <= K} a * w_a + K * sum_{a > K} w_a;
@@ -206,26 +222,23 @@ def _mean_by_slots(
     operations once the row is built.
     """
     if users == 0:
-        return lambda slots: Fraction(0)
-    _refuse_oversized(tokens, (users,), evaluations)
+        return lambda slots: 0
     width = min(tokens, users)
     row = deque(surjection_rows(users - 1, width - 1), maxlen=1)[0]
     weights = [math.comb(tokens, a) * n for a, n in enumerate(row, start=1)]
     below = list(accumulate(map(mul, range(1, width + 1), weights), initial=0))
     above = list(accumulate(reversed(weights), initial=0))[::-1]
-    assignments = tokens**users
 
-    def mean(slots: int) -> Fraction:
+    def numerator(slots: int) -> int:
         k = min(slots, width)
-        return Fraction(users * (below[k] + k * above[k]), assignments)
+        return users * (below[k] + k * above[k])
 
-    return mean
+    return numerator
 
 
 def _means_by_users(tokens: int, slots: int, users: tuple[int, ...]) -> list[Fraction]:
     """E[S] for each of ``users`` at fixed tokens and data slots, from one
     pass over the surjection rows up to the largest user count."""
-    _refuse_oversized(tokens, users, 1)
     top = max(users)
     by_users = {0: Fraction(0)}
     if top >= 1:
@@ -244,7 +257,9 @@ def _means_by_users(tokens: int, slots: int, users: tuple[int, ...]) -> list[Fra
 def expected_successes(config: SystemConfig) -> Fraction:
     """Exact mean of the per-frame success count, from one surjection row
     (see the module docstring); no pmf is built."""
-    return _mean_by_slots(config.tokens, config.users, 1)(config.data_slots)
+    _refuse_oversized(config.tokens, (config.users,), 1)
+    numerator = _numerators_by_slots(config.tokens, config.users)
+    return Fraction(numerator(config.data_slots), config.tokens**config.users)
 
 
 def success_rate(config: SystemConfig) -> Fraction:
@@ -338,15 +353,22 @@ def sweep(base: SystemConfig, axis: Axis | str, values: Iterable[int]) -> SweepR
     with the corresponding configuration error.
     """
     axis = Axis(axis)
-    values = tuple(as_int(v) for v in values)
+    if not isinstance(values, range):  # a range is checked before it is walked
+        values = tuple(as_int(v) for v in values)
     if not values:
         raise ValueError("sweep needs at least one axis value")
+    if axis is Axis.USERS:
+        _refuse_oversized(base.tokens, values, 1)
+    else:
+        _refuse_oversized(base.tokens, (base.users,), len(values))
+    values = tuple(values)
     configs = [replace(base, **{axis.value: v}) for v in values]
     if axis is Axis.USERS:
         means = _means_by_users(base.tokens, base.data_slots, values)
     else:
-        mean = _mean_by_slots(base.tokens, base.users, len(values))
-        means = [mean(k) for k in values]
+        numerator = _numerators_by_slots(base.tokens, base.users)
+        assignments = base.tokens**base.users
+        means = [Fraction(numerator(k), assignments) for k in values]
     rows = tuple(_frame_metrics(c, e) for c, e in zip(configs, means))
     return SweepReport(
         base=base,
@@ -371,10 +393,13 @@ def optimal_data_slots(tokens: int, users: int, k_max: int) -> tuple[int, Fracti
     if tokens < 1 or users < 1 or k_max < 1:
         raise ValueError("tokens, users and k_max must all be >= 1")
     scan = min(k_max, tokens, users)
-    mean = _mean_by_slots(tokens, users, scan)
-    best_k, best_value = 1, mean(1) / 2
+    _refuse_oversized(tokens, (users,), 1)
+    numerator = _numerators_by_slots(tokens, users)
+    # efficiency is numerator(k) / ((k + 1) * tokens**users): compare the
+    # candidates by cross-multiplying and reduce only the winner
+    best_k, best = 1, numerator(1)
     for k in range(2, scan + 1):
-        value = mean(k) / (k + 1)
-        if value > best_value:
-            best_k, best_value = k, value
-    return best_k, best_value
+        n = numerator(k)
+        if n * (best_k + 1) > best * (k + 1):
+            best_k, best = k, n
+    return best_k, Fraction(best, (best_k + 1) * tokens**users)

@@ -56,13 +56,18 @@ RNG_ALGORITHM = "numpy-pcg64/v2"
 _BLOCK_FRAMES = 1 << 15
 
 #: Largest working set :func:`estimate_pmf` agrees to allocate for one
-#: block, in estimated bytes: per frame, 16 per user (the int64 choices
-#: and their offset copy) and 40 per token (the int64 counts and the
-#: singles and active-token masks), an upper bound on the peak that
-#: tracemalloc reports.
-#: The largest block the benchmark workloads draw (128 tokens, 160 users)
-#: is estimated at 0.25 GB, 12x below the limit.
+#: block, in estimated bytes: per frame, 8 per user (the int64 choices,
+#: offset in place) and 40 per token (the int64 counts and the singles
+#: and active-token masks), an upper bound on the peak that tracemalloc
+#: reports.  The largest block the benchmark workloads draw (128 tokens,
+#: 160 users) is estimated at 0.21 GB, 14x below the limit.
 _BLOCK_BYTES_LIMIT = 3_000_000_000
+
+
+def _block_bytes(config: SystemConfig, frames: int) -> int:
+    """Estimated working set of a block of ``frames`` frames in
+    :func:`estimate_pmf` (see :data:`_BLOCK_BYTES_LIMIT`)."""
+    return frames * (8 * config.users + 40 * config.tokens)
 
 
 class DetectionMode(str, Enum):
@@ -215,9 +220,7 @@ def estimate_pmf(params: SimParams) -> EmpiricalReport:
     :data:`_BLOCK_BYTES_LIMIT` bytes.
     """
     cfg = params.config
-    block_bytes = min(params.iterations, _BLOCK_FRAMES) * (
-        16 * cfg.users + 40 * cfg.tokens
-    )
+    block_bytes = _block_bytes(cfg, min(params.iterations, _BLOCK_FRAMES))
     if block_bytes > _BLOCK_BYTES_LIMIT:
         raise ValueError(
             f"simulating {cfg.users} users on {cfg.tokens} tokens needs about "
@@ -233,8 +236,9 @@ def estimate_pmf(params: SimParams) -> EmpiricalReport:
         remaining -= block
         choices = rng.integers(0, cfg.tokens, size=(block, cfg.users))
         offsets = np.arange(block) * cfg.tokens
+        choices += offsets[:, None]  # in place: one set of bins per frame
         counts = np.bincount(
-            (choices + offsets[:, None]).ravel(), minlength=block * cfg.tokens
+            choices.ravel(), minlength=block * cfg.tokens
         ).reshape(block, cfg.tokens)
         singles = (counts == 1).sum(axis=1)
         if params.mode is DetectionMode.BINARY:

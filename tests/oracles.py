@@ -11,7 +11,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb, perm
+from math import comb, factorial, perm
 
 
 @lru_cache(maxsize=None)
@@ -133,3 +133,45 @@ def expected_successes_by_occupancy(tokens: int, slots: int, users: int) -> Frac
         for a in range(width + 1)
     )
     return users * total / tokens ** (users - 1)
+
+
+def _size2_partition_triangle(rows: int, cols: int) -> list[list[int]]:
+    """S(r, k), the partitions of an r-set into k blocks of size >= 2, for
+    r <= rows and k <= min(cols, r // 2), from the two-term recurrence
+    S(r, k) = k * S(r - 1, k) + (r - 1) * S(r - 2, k - 1)."""
+    triangle = [[1]]  # S(0, 0) = 1, the empty partition
+    for r in range(1, rows + 1):
+        older = triangle[r - 2] if r >= 2 else []
+        newer = triangle[r - 1]
+        row = [0]
+        for k in range(1, min(cols, r // 2) + 1):
+            stay = k * newer[k] if k < len(newer) else 0
+            row.append(stay + (r - 1) * older[k - 1])
+        triangle.append(row)
+    return triangle
+
+
+def split_sum_pmf(tokens: int, data_slots: int, users: int) -> list[Fraction]:
+    """Exact success pmf from the sum over contention splits.
+
+    A split into s singles and c collisions has
+    C(M, s + c) * (T)_s * c! * S(T - s, c) assignments whose singles hold
+    s given ranks among the s + c active tokens; the grant is uniform, so
+    the k = min(s + c, K) granted tokens hold d singles in
+    C(k, d) * C(s + c - k, s - d) of the rankings.  This is a different
+    computation from the library's (binomial moments over surjection
+    rows), and it reaches sizes that enumeration cannot.
+    """
+    m = min(tokens, users)
+    triangle = _size2_partition_triangle(users, m)
+    counts = [0] * (min(tokens, data_slots, users) + 1)
+    for s in range(m + 1):
+        row = triangle[users - s]
+        for c in range(min(m - s, len(row) - 1) + 1):
+            if row[c] == 0:  # no users left over for zero collisions
+                continue
+            split = comb(tokens, s + c) * perm(users, s) * factorial(c) * row[c]
+            k = min(s + c, data_slots)
+            for d in range(max(0, k - c), min(s, k) + 1):
+                counts[d] += split * comb(k, d) * comb(s + c - k, s - d)
+    return [Fraction(n, tokens**users) for n in counts]

@@ -18,11 +18,13 @@ from accessframe.analysis import (
     outcome_probability,
     success_pmf,
 )
-from accessframe.combinatorics import stirling2_strip
+from accessframe.analysis import _pmf_work
+from accessframe.combinatorics import SURJECTION_WORK_LIMIT
 from oracles import (
     brute_force_pmf,
     expected_successes_by_occupancy,
     hypergeometric_by_enumeration,
+    split_sum_pmf,
 )
 
 
@@ -171,24 +173,53 @@ def test_success_pmf_is_constant_once_slots_cover_active_tokens(m, extra, t):
     assert wide.mass == success_pmf(SystemConfig(m, k, t)).mass
 
 
+@pytest.mark.parametrize(
+    "tokens, slots, users",
+    [
+        (120, 60, 120),
+        (120, 120, 120),
+        (97, 13, 110),
+        (64, 16, 100),
+        (110, 40, 60),
+        (8, 3, 400),
+        (8, 8, 400),
+        (400, 8, 400),
+    ],
+)
+def test_success_pmf_matches_split_sum_beyond_enumeration(tokens, slots, users):
+    # the split sum over (singles, collisions) is an independent kernel
+    # with its own partition triangle, at sizes enumeration cannot reach
+    cfg = SystemConfig(tokens, slots, users)
+    assert list(success_pmf(cfg).mass) == split_sum_pmf(tokens, slots, users)
+
+
+def test_pmf_work_admits_the_benchmark_and_refuses_large_sums():
+    # the largest deep-pmf configuration passes with 10x headroom
+    assert _pmf_work(SystemConfig(16, 16, 1600)) * 10 < SURJECTION_WORK_LIMIT
+    for fits in [(400, 100, 400), (1000, 8, 1000), (600, 60, 600)]:
+        assert _pmf_work(SystemConfig(*fits)) < SURJECTION_WORK_LIMIT, fits
+    for refused in [(1000, 100, 1000), (800, 800, 800), (64, 8, 20000)]:
+        assert _pmf_work(SystemConfig(*refused)) > SURJECTION_WORK_LIMIT, refused
+
+
 def test_success_pmf_refuses_oversized_inputs_before_building():
-    stirling2_strip.cache_clear()
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="fewer users or tokens"):
-            success_pmf(SystemConfig(64, 8, 20000))
+            success_pmf(SystemConfig(64, 8, 20000))  # the roll is too long
         with pytest.raises(ValueError, match="fewer users or tokens"):
-            success_pmf(SystemConfig(1000, 8, 1000))  # the split sum is too large
+            success_pmf(SystemConfig(1000, 100, 1000))  # the moment sums are
+        with pytest.raises(ValueError, match="fewer users or tokens"):
+            success_pmf(SystemConfig(10**9, 10**8, 10**9))  # stops early
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
-    assert stirling2_strip.cache_info().currsize == 0
 
 
 def test_success_pmf_is_safe_across_threads():
-    # the strip cache holds one entry, so these configurations keep
-    # evicting each other; every result must still match a serial run
+    # nothing is cached between calls; interleaved builds on tiny switch
+    # intervals must still match a serial run
     configs = [SystemConfig(8, 4, 400), SystemConfig(16, 8, 300)]
     serial = {cfg: success_pmf(cfg) for cfg in configs}
     results: list[tuple[SystemConfig, object]] = []

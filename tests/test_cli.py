@@ -13,7 +13,7 @@ import pytest
 from accessframe.analysis import SuccessPmf, SystemConfig
 from accessframe import cli
 from accessframe.cli import FORMAT_ENV, main
-from accessframe.metrics import Axis, frame_metrics, sweep
+from accessframe.metrics import Axis, expected_successes, frame_metrics, sweep
 from accessframe.simulator import SimParams, compare_to_exact, estimate_pmf
 from oracles import expected_successes_by_occupancy
 
@@ -100,18 +100,19 @@ def test_usage_failure_exits_two(capsys):
 
 
 def test_oversized_input_exits_one_with_hint(capsys):
-    # too large a partition strip, too large a split sum, simulation
-    # blocks too large to hold in memory, and too large a surjection row
+    # too long a surjection roll, too large a moment sum, simulation
+    # blocks too large to hold in memory, and too many sweep values
     simulation = ("--tokens", "8", "--slots", "4", "--users", "20000",
                   "--seed", "1", "--iterations", "100000")
     for argv in [
         ("pmf", "--tokens", "64", "--slots", "8", "--users", "20000"),
-        ("pmf", "--tokens", "1000", "--slots", "8", "--users", "1000"),
+        ("pmf", "--tokens", "1000", "--slots", "100", "--users", "1000"),
+        ("pmf", "--tokens", "1000", "--slots", "500", "--users", "1000"),
         ("simulate", *simulation),
         ("compare", *simulation),
-        ("pmf", "--tokens", "600", "--slots", "8", "--users", "600"),
-        ("pmf", "--tokens", "600", "--slots", "300", "--users", "600"),
         ("metrics", "--tokens", "64", "--slots", "8", "--users", "20000"),
+        ("sweep", "--tokens", "8", "--slots", "4", "--users", "12",
+         "--axis", "data-slots", "--range", "1:10000000"),
     ]:
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
@@ -121,13 +122,27 @@ def test_oversized_input_exits_one_with_hint(capsys):
         assert err.startswith("error: ") and "fewer users or tokens" in err
 
 
+@pytest.mark.parametrize(
+    "tokens, slots, users", [(1000, 8, 1000), (600, 8, 600), (400, 100, 400)]
+)
+def test_pmf_fits_tokens_and_users_in_the_hundreds(capsys, tokens, slots, users):
+    code, out, err = run_cli(
+        capsys, "pmf", "--tokens", str(tokens), "--slots", str(slots),
+        "--users", str(users),
+    )
+    assert code == 0 and err == ""
+    pmf = SuccessPmf.from_json(out)
+    assert pmf.total() == 1
+    assert pmf.mean() == expected_successes(SystemConfig(tokens, slots, users))
+
+
 def test_compare_refuses_oversized_exact_pmf_before_simulating(capsys, monkeypatch):
     def no_simulation(params):
         raise AssertionError("compare simulated before checking the exact pmf")
 
     monkeypatch.setattr(cli, "estimate_pmf", no_simulation)
     code, out, err = run_cli(
-        capsys, "compare", "--tokens", "1000", "--slots", "8", "--users", "1000",
+        capsys, "compare", "--tokens", "1000", "--slots", "100", "--users", "1000",
         "--seed", "1", "--iterations", "30000",
     )
     assert code == 1
@@ -136,7 +151,8 @@ def test_compare_refuses_oversized_exact_pmf_before_simulating(capsys, monkeypat
 
 
 def test_metrics_fit_where_the_pmf_does_not(capsys):
-    # one surjection row at M = T = 1000; the pmf's split sum is refused
+    # one surjection row at M = T = 1000; the pmf's moment sums at K = 100
+    # are refused
     code, out, err = run_cli(
         capsys, "metrics", "--tokens", "1000", "--slots", "100", "--users", "1000"
     )

@@ -10,11 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from accessframe.combinatorics import (
-    STRIP_WORK_LIMIT,
     SURJECTION_WORK_LIMIT,
     stirling2_assoc,
-    stirling2_strip,
-    strip_work,
     surjection_rows,
     surjection_work,
 )
@@ -37,6 +34,8 @@ def test_stirling_zero_rules():
     assert stirling2_assoc(5, 3) == 0  # 3 blocks of size >= 2 need 6 elements
     assert stirling2_assoc(7, 4) == 0
     assert stirling2_assoc(1, 1) == 0
+    assert stirling2_assoc(-1, 0) == 0
+    assert stirling2_assoc(5, -1) == 0
 
 
 def test_stirling_hand_values():
@@ -58,7 +57,8 @@ def test_stirling_matches_partition_enumeration():
 @lru_cache(maxsize=None)
 def _triangle(max_n: int) -> dict[tuple[int, int], int]:
     """Every interior S(n, k), n <= max_n, from full triangular rows of
-    the same recurrence: the reference the capped strip must reproduce."""
+    the recurrence S(n, k) = k * S(n - 1, k) + (n - 1) * S(n - 2, k - 1):
+    the reference the inclusion-exclusion over surjections must match."""
     entries = {(0, 0): 1}
     for n in range(2, max_n + 1):
         for k in range(1, n // 2 + 1):
@@ -68,65 +68,18 @@ def _triangle(max_n: int) -> dict[tuple[int, int], int]:
     return entries
 
 
-def _check_strip(rows: int, cols: int, first_row: int, expected) -> None:
-    strip = stirling2_strip(rows, cols, first_row)
-    assert len(strip) == rows - first_row + 1
-    for r, row in enumerate(strip, start=first_row):
-        assert len(row) == min(cols, r // 2) + 1, (r, cols)
-        assert row == tuple(expected(r, k) for k in range(len(row))), r
-
-
 @settings(deadline=None)
-@given(st.data())
-def test_strip_matches_partition_enumeration(data):
-    rows = data.draw(st.integers(0, 12))
-    cols = data.draw(st.integers(0, 7))
-    first_row = data.draw(st.integers(0, rows))
-    _check_strip(
-        rows, cols, first_row, lambda r, k: min_size2_partition_counts(r).get(k, 0)
-    )
+@given(st.integers(0, 300), st.data())
+def test_stirling2_assoc_matches_full_triangle(n, data):
+    k = data.draw(st.integers(0, n // 2 + 1))
+    assert stirling2_assoc(n, k) == _triangle(300).get((n, k), 0), (n, k)
 
 
-@settings(deadline=None)
-@given(st.data())
-def test_strip_matches_full_triangle(data):
-    rows = data.draw(st.integers(0, 300))
-    cols = data.draw(st.integers(0, rows // 2 + 1))
-    first_row = data.draw(st.integers(0, rows))
-    triangle = _triangle(300)
-    _check_strip(rows, cols, first_row, lambda r, k: triangle.get((r, k), 0))
-
-
-def test_strip_is_immutable_and_reused():
-    strip = stirling2_strip(40, 5, 30)
-    assert isinstance(strip, tuple) and all(isinstance(row, tuple) for row in strip)
-    assert stirling2_strip(40, 5, 30) is strip
-
-
-@settings(deadline=None)
-@given(st.integers(0, 400), st.integers(0, 60))
-def test_strip_work_bounds_strip_size(rows, cols):
-    # the memory bound on STRIP_WORK_LIMIT relies on this
-    bits = sum(v.bit_length() for row in stirling2_strip(rows, cols) for v in row)
-    assert strip_work(rows, cols) >= bits
-
-
-def test_strip_refuses_oversized_inputs():
-    # the largest benchmark strip passes with 10x headroom
-    assert strip_work(1600, 16) * 10 < STRIP_WORK_LIMIT < strip_work(20000, 64)
+def test_stirling2_assoc_refuses_oversized_inputs():
     with pytest.raises(ValueError, match="fewer users or tokens"):
-        stirling2_strip(20000, 64)
+        stirling2_assoc(20000, 5000)
     with pytest.raises(ValueError, match="fewer users or tokens"):
         stirling2_assoc(10**9, 10**8)  # the estimate itself stops early
-
-
-def test_strip_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        stirling2_strip(-1, 2)
-    with pytest.raises(ValueError):
-        stirling2_strip(5, -1)
-    with pytest.raises(ValueError):
-        stirling2_strip(5, 2, 6)
 
 
 def _rows(rows: int, cols: int) -> list[tuple[int, ...]]:

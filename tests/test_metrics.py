@@ -185,15 +185,15 @@ def test_optimal_data_slots_stops_once_slots_cover_active_tokens(monkeypatch):
     # past K = min(M, T) the mean is constant and efficiency only falls;
     # the scan reads every K from one surjection row
     slots_read, rows_built = [], []
-    mean_by_slots = metrics._mean_by_slots
+    numerators_by_slots = metrics._numerators_by_slots
     surjection_rows = metrics.surjection_rows
 
-    def counting_mean(tokens, users, evaluations):
-        mean = mean_by_slots(tokens, users, evaluations)
+    def counting_numerators(tokens, users):
+        numerator = numerators_by_slots(tokens, users)
 
         def counted(slots):
             slots_read.append(slots)
-            return mean(slots)
+            return numerator(slots)
 
         return counted
 
@@ -201,7 +201,7 @@ def test_optimal_data_slots_stops_once_slots_cover_active_tokens(monkeypatch):
         rows_built.append((rows, cols))
         return surjection_rows(rows, cols)
 
-    monkeypatch.setattr(metrics, "_mean_by_slots", counting_mean)
+    monkeypatch.setattr(metrics, "_numerators_by_slots", counting_numerators)
     monkeypatch.setattr(metrics, "surjection_rows", counting_rows)
     for tokens, users in [(8, 12), (12, 5), (3, 3)]:
         slots_read.clear()
@@ -252,6 +252,11 @@ def test_metrics_refuse_oversized_inputs_before_building(monkeypatch):
         # each row is within the limit, the sums over 1000 of them are not
         lambda: sweep(SystemConfig(1000, 100, 1), Axis.USERS, range(1, 1001)),
         lambda: sweep(SystemConfig(64, 1, 20000), Axis.DATA_SLOTS, (1, 2)),
+        # every value is cheap, but there are too many to report; a range
+        # is refused before it is walked
+        lambda: sweep(SystemConfig(8, 4, 12), Axis.DATA_SLOTS, range(1, 10**12)),
+        lambda: sweep(SystemConfig(8, 4, 1), Axis.USERS, range(1, 10**12)),
+        lambda: sweep(SystemConfig(8, 4, 12), Axis.DATA_SLOTS, range(1, 100001)),
     ]:
         with pytest.raises(ValueError, match="fewer users or tokens"):
             call()

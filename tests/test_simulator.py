@@ -23,6 +23,7 @@ from accessframe.simulator import (
     make_rng,
     simulate_frame,
 )
+from accessframe.simulator import _block_bytes
 
 
 def test_sim_params_validation():
@@ -286,3 +287,20 @@ def test_comparison_record_serialization():
     }
     header = record.to_csv().split("\n", 1)[0]
     assert header == "M,K,T,mode,seed,iterations,tv_distance,max_abs_mass_error"
+
+
+@pytest.mark.parametrize("tokens, users", [(8, 12), (4, 2000), (128, 160), (400, 10)])
+def test_block_bytes_bounds_the_traced_peak(tokens, users):
+    # the estimate behind _BLOCK_BYTES_LIMIT must stay an upper bound
+    frames = 2000
+    for mode in DetectionMode:
+        params = SimParams(
+            SystemConfig(tokens, 4, users), iterations=frames, seed=5, mode=mode
+        )
+        tracemalloc.start()
+        try:
+            estimate_pmf(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _block_bytes(params.config, frames), mode
