@@ -26,8 +26,8 @@ Inverting the moments gives the counts,
     P(S = d) * M**T = sum_{r >= d} (-1)**(r - d) * C(r, d) * B_r * M**T.
 
 Inputs whose roll, sums and reductions would cost too much are refused
-before any work starts.  All arithmetic is on exact integers, so the
-masses sum to exactly 1.
+before any work starts (see :func:`~accessframe.combinatorics.exact_work`).
+All arithmetic is on exact integers, so the masses sum to exactly 1.
 """
 
 from __future__ import annotations
@@ -41,11 +41,10 @@ from operator import index as as_int
 from operator import mul, sub
 
 from .combinatorics import (
-    SURJECTION_WORK_LIMIT,
-    _log2_binomial,
+    exact_work,
+    refuse_oversized,
     stirling2_assoc,
     surjection_rows,
-    surjection_work,
 )
 
 __all__ = [
@@ -91,6 +90,12 @@ class SystemConfig:
         return self.data_slots + 1
 
 
+def json_rational(value: Fraction | None) -> str | None:
+    """An exact rational as the ``"numerator/denominator"`` string the JSON
+    documents carry; None stays None."""
+    return None if value is None else f"{value.numerator}/{value.denominator}"
+
+
 class PmfKind(str, Enum):
     EXACT = "exact"
     EMPIRICAL = "empirical"
@@ -122,46 +127,6 @@ def outcome_probability(config: SystemConfig, singles: int, collisions: int) -> 
     return Fraction(count, config.tokens**config.users)
 
 
-#: Fixed costs of :func:`success_pmf` beyond its bigint digits, in the
-#: bit-operations of :func:`~accessframe.combinatorics.surjection_work`:
-#: building one moment weight and adding its product (measured at about
-#: 200 ns), and one inversion step over one count (about 40 ns).
-_WEIGHT_BITS = 2000
-_STEP_BITS = 400
-
-
-def _pmf_work(config: SystemConfig) -> float:
-    """Estimated work of :func:`success_pmf`, in the bit-operations of
-    :func:`~accessframe.combinatorics.surjection_work`.
-
-    On top of the roll of rows 0 .. T capped at w = min(M, T) columns,
-    moment r multiplies the w - r + 1 entries of row T - r, together at
-    most (T - r) * log2((w - r)!) bits wide, by weights
-    C(M, a) * C(min(a, K), r) of at most ``weight_bits`` bits; step r of
-    the inversion updates top - r + 1 counts of at most ``count_bits``
-    bits, top = min(M, K, T); and each of the top + 1 masses reduces a
-    fraction over M**T.  Measured on a 2-core x86-64 host, a product costs
-    about one bit-operation per 64 bit pairs, as in the metrics, an
-    addition one per bit, and a reduction one per 32 squared bits.  Terms
-    of r are summed only until the total passes
-    :data:`~accessframe.combinatorics.SURJECTION_WORK_LIMIT`, so the
-    estimate is cheap for any input.
-    """
-    t, big_m = config.users, config.tokens
-    width, top = min(big_m, t), config.max_successes
-    work = surjection_work(t, width)
-    weight_bits = _log2_binomial(big_m, min(width, big_m // 2)) + top
-    count_bits = t * math.log2(big_m) + 2 * top
-    work += (top + 1) * count_bits**2 / 32
-    for r in range(top + 1):
-        if work > SURJECTION_WORK_LIMIT:
-            break
-        row_bits = (t - r) * math.lgamma(width - r + 1) / math.log(2)
-        work += row_bits * weight_bits / 64 + (width - r + 1) * _WEIGHT_BITS
-        work += (top - r + 1) * (count_bits + _STEP_BITS)
-    return work
-
-
 def success_pmf(config: SystemConfig) -> "SuccessPmf":
     """Exact pmf of the number of data-phase successes, over
     d = 0 .. min(tokens, data_slots, users).
@@ -170,18 +135,25 @@ def success_pmf(config: SystemConfig) -> "SuccessPmf":
     reduced once, so the result is exact however wildly the terms differ
     in magnitude.  With no users the pmf is a point mass at zero.  Raises
     ``ValueError`` before any work when the roll, the moment sums and the
-    reductions would together cost more than
-    :data:`~accessframe.combinatorics.SURJECTION_WORK_LIMIT`.
+    reductions would together cost too much (see
+    :func:`~accessframe.combinatorics.exact_work`).
     """
     t, big_m, big_k = config.users, config.tokens, config.data_slots
     width, top = min(big_m, t), config.max_successes
-    work = _pmf_work(config)
-    if work > SURJECTION_WORK_LIMIT:
-        raise ValueError(
-            f"the exact pmf for {big_m} tokens and {t} users needs an "
-            f"estimated {work:.2g} or more bit-operations, over the limit of "
-            f"{SURJECTION_WORK_LIMIT:.2g}; use fewer users or tokens"
-        )
+    # moment r multiplies row T - r, capped at width - r columns, by weights
+    # C(M, a) * C(min(a, K), r) < C(M, a) * 2**top; step r of the inversion
+    # updates top - r + 1 counts, and top + 1 masses reduce, over M**T
+    count_bits = t * math.log2(big_m) + 2 * top
+    work = exact_work(
+        t,
+        width,
+        products=((t - r, width - r) for r in range(top + 1)),
+        coefficients=(big_m, width, top),
+        fractions=[(top + 1, count_bits)],
+        weights=(top + 1) * (width + 1) - top * (top + 1) // 2,
+        steps=((top + 1) * (top + 2) // 2, count_bits),
+    )
+    refuse_oversized(work, f"the exact pmf for {big_m} tokens and {t} users")
     occupancies = [math.comb(big_m, a) for a in range(width + 1)]
     moments = [0] * (top + 1)
     for n, row in enumerate(surjection_rows(t, width)):
@@ -241,7 +213,7 @@ class SuccessPmf:
             "K": self.config.data_slots,
             "T": self.config.users,
             "kind": self.kind.value,
-            "mass": [f"{p.numerator}/{p.denominator}" for p in self.mass],
+            "mass": [json_rational(p) for p in self.mass],
         }
 
     def to_json(self) -> str:

@@ -20,7 +20,7 @@ import json
 import os
 import sys
 
-from .analysis import SystemConfig, success_pmf
+from .analysis import SystemConfig, json_rational, success_pmf
 from .metrics import Axis, frame_metrics, optimal_data_slots, sweep
 from .simulator import DetectionMode, SimParams, _compare, estimate_pmf
 
@@ -274,7 +274,7 @@ def _run_optimize(args: argparse.Namespace) -> str:
             "T": args.users,
             "k_max": args.k_max,
             "K_star": best_k,
-            "efficiency": f"{best_value.numerator}/{best_value.denominator}",
+            "efficiency": json_rational(best_value),
         },
         indent=2,
     )

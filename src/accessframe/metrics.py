@@ -21,7 +21,8 @@ columns, and the row does not depend on K.  Every result is an exact
 rational.  :func:`optimal_data_slots` and a data-slots :func:`sweep`
 build the row once and read every K from it; a users :func:`sweep` rolls
 the row forward one user at a time.  Inputs whose row and sums would
-cost too much are refused before any row is built.
+cost too much are refused before any row is built (see
+:func:`~accessframe.combinatorics.exact_work`).
 """
 
 from __future__ import annotations
@@ -37,13 +38,8 @@ from operator import index as as_int
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
-from .analysis import SystemConfig
-from .combinatorics import (
-    SURJECTION_WORK_LIMIT,
-    _log2_binomial,
-    surjection_rows,
-    surjection_work,
-)
+from .analysis import SystemConfig, json_rational
+from .combinatorics import exact_work, refuse_oversized, surjection_rows
 
 __all__ = [
     "Axis",
@@ -96,10 +92,6 @@ class Provenance:
         return {"kind": self.kind, "seed": self.seed, "iterations": self.iterations}
 
 
-def _rational(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
-
-
 def csv_fields(
     config: SystemConfig,
     expected: Fraction,
@@ -146,9 +138,9 @@ class FrameMetrics:
             "M": self.config.tokens,
             "K": self.config.data_slots,
             "T": self.config.users,
-            "expected_successes": _rational(self.expected_successes),
-            "success_rate": _rational(self.success_rate),
-            "efficiency": _rational(self.efficiency),
+            "expected_successes": json_rational(self.expected_successes),
+            "success_rate": json_rational(self.success_rate),
+            "efficiency": json_rational(self.efficiency),
         }
 
     def to_json(self) -> str:
@@ -161,55 +153,27 @@ class FrameMetrics:
         return f"{CSV_HEADER}\n{row}\n"
 
 
-#: Measured fixed cost of one reported mean, in the bit-operations of
-#: :func:`~accessframe.combinatorics.surjection_work`: its metrics, its
-#: row of the report and that row's rendering, measured at 27-36 us per
-#: row of a long sweep on a 2-core x86-64 host.
-_MEAN_BITS = 300_000
-
-
 def _refuse_oversized(tokens: int, users: Sequence[int], means_per_row: int) -> None:
-    """Raise ``ValueError`` before any row is built when the work of the
-    means would cost more than
-    :data:`~accessframe.combinatorics.SURJECTION_WORK_LIMIT`: rolling the
-    surjection row for the largest of ``users``, one occupancy sum over
-    the row of each entry of ``users``, and ``means_per_row`` exact means
-    reported at each.
-
-    A sum multiplies the w = min(tokens, t) entries of row t - 1, together
-    at most (t - 1) * log2((w - 1)!) bits wide, by coefficients
-    C(tokens, a) * min(a, K) of at most ``coefficient_bits`` bits, and a
-    mean reduces a fraction over tokens**t, t * log2(tokens) bits wide.
-    Measured on a 2-core x86-64 host, in the units of
-    :func:`~accessframe.combinatorics.surjection_work`, a product costs
-    about one bit-operation per 64 bit pairs and a reduction one per 32
-    squared bits; every mean also costs :data:`_MEAN_BITS`.  That fixed
-    cost is charged first, so a sweep over too many values is refused
-    before its values are walked.
-    """
-    work = len(users) * means_per_row * _MEAN_BITS
-    top = max(users) if work <= SURJECTION_WORK_LIMIT else 0
-    if top >= 1:
-        width = min(tokens, top)
-        work += surjection_work(top - 1, width - 1)
-        coefficient_bits = (
-            _log2_binomial(tokens, min(width, tokens // 2)) + width.bit_length()
-        )
-        for t in users:
-            if work > SURJECTION_WORK_LIMIT:
-                break
-            if t >= 1:
-                row_bits = (t - 1) * math.lgamma(min(tokens, t)) / math.log(2)
-                mean_bits = t * math.log2(tokens)
-                work += row_bits * coefficient_bits / 64
-                work += means_per_row * mean_bits**2 / 32
-    if work > SURJECTION_WORK_LIMIT:
-        raise ValueError(
-            f"computing {len(users) * means_per_row} mean success count(s) "
-            f"for {tokens} tokens needs more than the "
-            f"{SURJECTION_WORK_LIMIT:.2g} estimated bit-operations allowed; "
-            "use fewer users or tokens, or fewer sweep values"
-        )
+    """Refuse, before any row is built, ``means_per_row`` means at each of
+    ``users``: the roll up to the largest, the sum for t users over row
+    t - 1 capped at min(tokens, t) - 1 columns with coefficients
+    C(tokens, a) * min(a, K), and the reductions over tokens**t."""
+    # a range is not walked for its largest value: it may be refused on
+    # its number of means alone
+    top = max(users[0], users[-1]) if isinstance(users, range) else max(users)
+    width = min(tokens, top)
+    means = len(users) * means_per_row
+    work = exact_work(
+        top - 1,
+        width - 1,
+        products=((t - 1, min(tokens, t) - 1) for t in users if t >= 1),
+        coefficients=(tokens, width, width.bit_length()),
+        fractions=((means_per_row, t * math.log2(tokens)) for t in users if t >= 1),
+        means=means,
+    )
+    refuse_oversized(
+        work, f"computing {means} mean success count(s) for {tokens} tokens"
+    )
 
 
 def _numerators_by_slots(tokens: int, users: int) -> Callable[[int], int]:

@@ -30,7 +30,7 @@ from operator import index as as_int
 
 import numpy as np
 
-from .analysis import PmfKind, SuccessPmf, SystemConfig, success_pmf
+from .analysis import PmfKind, SuccessPmf, SystemConfig, json_rational, success_pmf
 from .metrics import CSV_HEADER, csv_fields
 
 __all__ = [
@@ -185,12 +185,10 @@ class EmpiricalReport:
             "iterations": self.params.iterations,
             "rng": RNG_ALGORITHM,
             "counts": list(self.counts),
-            "mass": [f"{p.numerator}/{p.denominator}" for p in self.pmf_hat.mass],
-            "mean_successes": f"{self.mean_successes.numerator}/{self.mean_successes.denominator}",
-            "success_rate": None
-            if self.success_rate is None
-            else f"{self.success_rate.numerator}/{self.success_rate.denominator}",
-            "efficiency": f"{self.efficiency.numerator}/{self.efficiency.denominator}",
+            "mass": [json_rational(p) for p in self.pmf_hat.mass],
+            "mean_successes": json_rational(self.mean_successes),
+            "success_rate": json_rational(self.success_rate),
+            "efficiency": json_rational(self.efficiency),
         }
 
     def to_json(self) -> str:

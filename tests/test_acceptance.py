@@ -10,7 +10,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from accessframe.analysis import SystemConfig, stirling2_assoc, success_pmf
+from accessframe.analysis import SystemConfig, success_pmf
+from accessframe.combinatorics import stirling2_assoc
 from accessframe.metrics import optimal_data_slots, success_rate
 from accessframe.simulator import SimParams, compare_to_exact, estimate_pmf
 

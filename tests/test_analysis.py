@@ -18,8 +18,9 @@ from accessframe.analysis import (
     outcome_probability,
     success_pmf,
 )
-from accessframe.analysis import _pmf_work
+from accessframe import analysis
 from accessframe.combinatorics import SURJECTION_WORK_LIMIT
+from charges import charged_work
 from oracles import (
     brute_force_pmf,
     expected_successes_by_occupancy,
@@ -191,6 +192,10 @@ def test_success_pmf_matches_split_sum_beyond_enumeration(tokens, slots, users):
     # with its own partition triangle, at sizes enumeration cannot reach
     cfg = SystemConfig(tokens, slots, users)
     assert list(success_pmf(cfg).mass) == split_sum_pmf(tokens, slots, users)
+
+
+def _pmf_work(config: SystemConfig) -> float:
+    return charged_work(analysis, lambda: success_pmf(config))[0]
 
 
 def test_pmf_work_admits_the_benchmark_and_refuses_large_sums():

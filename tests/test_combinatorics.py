@@ -9,12 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from accessframe import analysis, combinatorics, metrics
+from accessframe.analysis import SystemConfig, outcome_probability
 from accessframe.combinatorics import (
     SURJECTION_WORK_LIMIT,
+    exact_work,
     stirling2_assoc,
     surjection_rows,
-    surjection_work,
 )
+from charges import charged_work
 from oracles import min_size2_partition_counts, surjection_counts
 
 
@@ -82,6 +85,16 @@ def test_stirling2_assoc_refuses_oversized_inputs():
         stirling2_assoc(10**9, 10**8)  # the estimate itself stops early
 
 
+def test_stirling2_assoc_without_blocks_needs_no_roll(monkeypatch):
+    def no_rows(rows, cols):
+        raise AssertionError("a surjection row was rolled")
+
+    monkeypatch.setattr(combinatorics, "surjection_rows", no_rows)
+    assert stirling2_assoc(10**9, 0) == 0
+    assert stirling2_assoc(0, 0) == 1
+    assert outcome_probability(SystemConfig(1, 1, 10**6), 0, 0) == 0
+
+
 def _rows(rows: int, cols: int) -> list[tuple[int, ...]]:
     return list(surjection_rows(rows, cols))
 
@@ -110,15 +123,15 @@ def test_surjection_rows_match_inclusion_exclusion(rows, cols):
 def test_surjection_work_bounds_row_size(rows, cols):
     # the estimate is meant as an upper bound on the digits it rolls
     bits = sum(v.bit_length() for row in surjection_rows(rows, cols) for v in row)
-    assert surjection_work(rows, cols) >= bits
+    assert exact_work(rows, cols) >= bits
 
 
 def test_surjection_rows_refuse_oversized_inputs_before_building():
     # the largest benchmark row passes with 100x headroom; tokens =
     # users = 1000 in the metrics passes too
-    assert surjection_work(255, 127) * 100 < SURJECTION_WORK_LIMIT
-    assert surjection_work(999, 999) < SURJECTION_WORK_LIMIT
-    assert surjection_work(19999, 63) > SURJECTION_WORK_LIMIT
+    assert exact_work(255, 127) * 100 < SURJECTION_WORK_LIMIT
+    assert exact_work(999, 999) < SURJECTION_WORK_LIMIT
+    assert exact_work(19999, 63) > SURJECTION_WORK_LIMIT
     with pytest.raises(ValueError, match="fewer users or tokens"):
         surjection_rows(19999, 63)  # refused on the call, not on the first row
     with pytest.raises(ValueError, match="fewer users or tokens"):
@@ -130,3 +143,32 @@ def test_surjection_rows_reject_bad_shapes():
         surjection_rows(-1, 2)
     with pytest.raises(ValueError):
         surjection_rows(5, -1)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 60),
+    st.integers(1, 60),
+    st.integers(0, 300),
+    st.lists(st.integers(1, 300), min_size=1, max_size=8, unique=True),
+    st.lists(st.integers(1, 80), min_size=1, max_size=8, unique=True),
+)
+def test_entry_estimates_cover_their_rolls(tokens, slots, users, by_users, by_slots):
+    # every entry point prices the roll it asks for, so an input it admits
+    # is never refused later by the roll's own guard
+    config = SystemConfig(tokens, slots, users)
+    entries = [
+        (analysis, lambda: analysis.success_pmf(config)),
+        (metrics, lambda: metrics.expected_successes(config)),
+        (metrics, lambda: metrics.sweep(config, "users", sorted(by_users))),
+    ]
+    if users >= 1:
+        entries += [
+            (metrics, lambda: metrics.sweep(config, "data_slots", sorted(by_slots))),
+            (metrics, lambda: metrics.optimal_data_slots(tokens, users, slots)),
+        ]
+    for module, call in entries:
+        work, roll = charged_work(module, call)
+        assert work <= SURJECTION_WORK_LIMIT
+        if roll:
+            assert work >= exact_work(*roll), roll
