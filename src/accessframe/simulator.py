@@ -18,6 +18,10 @@ A uniform grant of min(a, data_slots) of the a active tokens delivers a
 hypergeometric number of the frame's singles, so the binary tally draws
 that count directly; :func:`simulate_frame` draws the granted tokens
 themselves.
+
+numpy is imported at the first draw, inside :func:`make_rng`,
+:func:`simulate_frame` and :func:`estimate_pmf`, so the exact
+subcommands, ``--help`` and refusals never load it.
 """
 
 from __future__ import annotations
@@ -27,11 +31,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import index as as_int
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .analysis import PmfKind, SuccessPmf, SystemConfig, json_rational, success_pmf
 from .metrics import CSV_HEADER, csv_fields
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -80,6 +86,8 @@ class DetectionMode(str, Enum):
 def make_rng(seed: int) -> np.random.Generator:
     """The package's seeded random stream (PCG64 behind numpy's
     Generator).  All simulation draws come from here and nowhere else."""
+    import numpy as np
+
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
@@ -139,6 +147,8 @@ def simulate_frame(
     The granted subset is min(eligible, data_slots) eligible tokens
     drawn uniformly without replacement.
     """
+    import numpy as np
+
     mode = DetectionMode(mode)
     choices = rng.integers(0, config.tokens, size=config.users)
     counts = np.bincount(choices, minlength=config.tokens)
@@ -225,6 +235,8 @@ def estimate_pmf(params: SimParams) -> EmpiricalReport:
             f"{block_bytes / 1e9:.3g} GB per block of frames, over the limit "
             f"of {_BLOCK_BYTES_LIMIT / 1e9:.3g} GB; use fewer users or tokens"
         )
+    import numpy as np
+
     rng = make_rng(params.seed)
     tally = np.zeros(cfg.max_successes + 1, dtype=np.int64)
 

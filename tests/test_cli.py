@@ -358,3 +358,60 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0
     assert result.stdout.endswith("2,1,2,0.5,0.25,0.25\n")
+
+
+#: Runs ``cli.main(argv)`` in a fresh interpreter, then prints whether
+#: numpy was imported and the exit code.
+_NUMPY_PROBE = """
+import sys
+from accessframe.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as stop:
+    code = stop.code
+print("numpy" in sys.modules, code)
+"""
+
+
+def _numpy_probe(*argv: str) -> str:
+    result = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, *argv],
+        capture_output=True,
+        text=True,
+    )
+    return result.stdout.splitlines()[-1]
+
+
+def test_import_leaves_numpy_unloaded():
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, accessframe; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.stdout == "False\n"
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("--help",), "False 0"),
+        (("pmf", "--tokens", "8", "--slots", "4", "--users", "12"), "False 0"),
+        (("metrics", "--tokens", "8", "--slots", "4", "--users", "12"), "False 0"),
+        (("sweep", "--tokens", "8", "--slots", "4", "--axis", "users",
+          "--range", "1:5"), "False 0"),
+        (("sweep", "--tokens", "8", "--users", "12", "--axis", "data-slots",
+          "--range", "1:5"), "False 0"),
+        (("optimize-k", "--tokens", "8", "--users", "12", "--k-max", "8"),
+         "False 0"),
+        # refused by the exact guard before any frame is drawn
+        (("compare", "--tokens", "1000", "--slots", "100", "--users", "1000",
+          "--seed", "1", "--iterations", "30000"), "False 1"),
+        (("simulate", "--tokens", "4", "--slots", "2", "--users", "6",
+          "--seed", "1", "--iterations", "100"), "True 0"),
+    ],
+    ids=["help", "pmf", "metrics", "sweep-users", "sweep-data-slots",
+         "optimize-k", "compare-refused", "simulate"],
+)
+def test_numpy_is_imported_only_to_draw(argv, expected):
+    assert _numpy_probe(*argv) == expected

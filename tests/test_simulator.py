@@ -181,6 +181,20 @@ def test_estimate_pmf_spans_block_boundaries():
     assert sum(report.counts) == n
 
 
+def test_seeded_streams_are_pinned_to_the_rng_version():
+    # any change to these counts changes the published stream, so it must
+    # come with a new RNG_ALGORITHM version
+    assert RNG_ALGORITHM == "numpy-pcg64/v2"
+    binary = SimParams(
+        SystemConfig(8, 3, 10), iterations=(1 << 15) + 17, seed=20260
+    )
+    assert estimate_pmf(binary).counts == (3479, 13342, 12789, 3175)
+    ternary = SimParams(
+        SystemConfig(6, 2, 5), iterations=1000, seed=77, mode="ternary"
+    )
+    assert estimate_pmf(ternary).counts == (42, 265, 693)
+
+
 def test_estimate_pmf_refuses_oversized_blocks_before_drawing():
     # a full block of 20000 users would hold gigabytes of choices
     tracemalloc.start()
