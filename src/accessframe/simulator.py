@@ -14,6 +14,9 @@ user activated it.  Two detection modes:
 :func:`estimate_pmf` tallies the per-frame success count over N
 independent frames of one seeded stream; identical parameters give a
 bit-identical report.  Empirical masses are exact multiples of 1/N.
+Frames are drawn in blocks of about :data:`_BLOCK_BYTES` of working set,
+with user choices drawn as int16 when the token indices fit, so a run
+holds one cache-sized block whatever N is.
 A uniform grant of min(a, data_slots) of the a active tokens delivers a
 hypergeometric number of the frame's singles, so the binary tally draws
 that count directly; :func:`simulate_frame` draws the granted tokens
@@ -54,26 +57,42 @@ __all__ = [
 
 #: Generator behind every simulation; recorded in each report so the
 #: numbers can be regenerated by any implementation of this algorithm.
-RNG_ALGORITHM = "numpy-pcg64/v2"
+RNG_ALGORITHM = "numpy-pcg64/v3"
 
-#: Frames drawn per vectorized block inside :func:`estimate_pmf`.  Fixed
-#: so that a given (seed, config, mode) always consumes the stream the
-#: same way regardless of iteration count or available memory.
-_BLOCK_FRAMES = 1 << 15
+#: Target working set of one block inside :func:`estimate_pmf`, in the
+#: estimated bytes of :func:`_block_bytes`, so that a block stays in
+#: cache.  On the benchmark's monte-carlo operations 4 MiB ran fastest,
+#: 2 MiB close behind, 1, 8 and 16 MiB slower (``BENCH_10.json``).
+#: Fixed, so the frames per block, and with them the stream layout,
+#: depend only on the tokens and users.
+_BLOCK_BYTES = 4 << 20
 
-#: Largest working set :func:`estimate_pmf` agrees to allocate for one
-#: block, in estimated bytes: per frame, 8 per user (the int64 choices,
-#: offset in place) and 40 per token (the int64 counts and the singles
-#: and active-token masks), an upper bound on the peak that tracemalloc
-#: reports.  The largest block the benchmark workloads draw (128 tokens,
-#: 160 users) is estimated at 0.21 GB, 14x below the limit.
+#: Largest working set :func:`estimate_pmf` agrees to allocate for the
+#: block it actually draws, in estimated bytes.  Blocks are cut to
+#: :data:`_BLOCK_BYTES`, so only a single frame can go over: about
+#: 3*10^8 users, whose choices alone would hold gigabytes.
 _BLOCK_BYTES_LIMIT = 3_000_000_000
+
+#: Token counts up to this have every token index fit in an int16, so
+#: user choices are drawn 2 bytes wide; larger token counts draw int64.
+_NARROW_TOKENS = 1 << 15
 
 
 def _block_bytes(config: SystemConfig, frames: int) -> int:
     """Estimated working set of a block of ``frames`` frames in
-    :func:`estimate_pmf` (see :data:`_BLOCK_BYTES_LIMIT`)."""
-    return frames * (8 * config.users + 40 * config.tokens)
+    :func:`estimate_pmf`: per frame, 10 bytes per user (the int16
+    choices and their intp bins; 16 with int64 choices) and 40 per
+    token (the intp counts, the singles and active-token masks and the
+    per-frame vectors).  It bounds the peak that tracemalloc reports
+    from two tokens up, apart from numpy's fixed-size cast buffers (at
+    most two of ``np.getbufsize()`` intp elements)."""
+    choice_bytes = 2 if config.tokens <= _NARROW_TOKENS else 8
+    return frames * ((choice_bytes + 8) * config.users + 40 * config.tokens)
+
+
+def _block_frames(config: SystemConfig) -> int:
+    """Frames per block: as many as fit in :data:`_BLOCK_BYTES`."""
+    return max(1, _BLOCK_BYTES // _block_bytes(config, 1))
 
 
 class DetectionMode(str, Enum):
@@ -218,17 +237,18 @@ class EmpiricalReport:
 def estimate_pmf(params: SimParams) -> EmpiricalReport:
     """Estimate the success pmf from ``params.iterations`` frames.
 
-    Frames are drawn in fixed-size blocks: each block draws all its
-    user choices, then (binary mode only) one hypergeometric success
-    count per frame, so the stream layout depends only on the
-    parameters.  In ternary mode the success count is
-    min(singles, data_slots) whichever singles are granted, so no grant
-    draws are consumed.  Raises ``ValueError``
-    before drawing when one block would need more than
-    :data:`_BLOCK_BYTES_LIMIT` bytes.
+    Frames are drawn in blocks of :func:`_block_frames` frames, a count
+    fixed by the tokens and users: each block draws all its user
+    choices, then (binary mode only) one hypergeometric success count
+    per frame, so the stream layout depends only on the parameters.  In
+    ternary mode the success count is min(singles, data_slots) whichever
+    singles are granted, so no grant draws are consumed.  Raises
+    ``ValueError`` before drawing when the block to draw would need more
+    than :data:`_BLOCK_BYTES_LIMIT` bytes.
     """
     cfg = params.config
-    block_bytes = _block_bytes(cfg, min(params.iterations, _BLOCK_FRAMES))
+    frames = _block_frames(cfg)
+    block_bytes = _block_bytes(cfg, min(params.iterations, frames))
     if block_bytes > _BLOCK_BYTES_LIMIT:
         raise ValueError(
             f"simulating {cfg.users} users on {cfg.tokens} tokens needs about "
@@ -239,18 +259,14 @@ def estimate_pmf(params: SimParams) -> EmpiricalReport:
 
     rng = make_rng(params.seed)
     tally = np.zeros(cfg.max_successes + 1, dtype=np.int64)
-
-    remaining = params.iterations
-    while remaining > 0:
-        block = min(remaining, _BLOCK_FRAMES)
-        remaining -= block
-        choices = rng.integers(0, cfg.tokens, size=(block, cfg.users))
-        offsets = np.arange(block) * cfg.tokens
-        choices += offsets[:, None]  # in place: one set of bins per frame
-        counts = np.bincount(
-            choices.ravel(), minlength=block * cfg.tokens
-        ).reshape(block, cfg.tokens)
-        singles = (counts == 1).sum(axis=1)
+    for start in range(0, params.iterations, frames):
+        block = min(frames, params.iterations - start)
+        # the choices die inside _block_counts while the last block's
+        # counts still sit above them on the heap, so malloc reuses their
+        # memory for the next block instead of returning it to the OS
+        # and faulting it back in every block
+        counts = _block_counts(rng, cfg, block)
+        singles = np.count_nonzero(counts == 1, axis=1)
         if params.mode is DetectionMode.BINARY:
             active = np.count_nonzero(counts, axis=1)
             successes = rng.hypergeometric(
@@ -272,6 +288,25 @@ def estimate_pmf(params: SimParams) -> EmpiricalReport:
         success_rate=mean / cfg.users if cfg.users else None,
         efficiency=mean / cfg.frame_slots,
     )
+
+
+def _block_counts(
+    rng: np.random.Generator, config: SystemConfig, frames: int
+) -> np.ndarray:
+    """Users per token in each of ``frames`` fresh frames, shape
+    (frames, tokens).  The choices are freed on return."""
+    import numpy as np
+
+    narrow = config.tokens <= _NARROW_TOKENS
+    choices = rng.integers(
+        0, config.tokens, size=(frames, config.users),
+        dtype=np.int16 if narrow else np.int64,
+    )
+    # widen and shift in one pass: one set of bins per frame
+    offsets = np.arange(0, frames * config.tokens, config.tokens)[:, None]
+    bins = np.add(choices, offsets, dtype=np.intp)
+    counts = np.bincount(bins.ravel(), minlength=frames * config.tokens)
+    return counts.reshape(frames, config.tokens)
 
 
 @dataclass(frozen=True)

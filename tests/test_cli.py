@@ -100,9 +100,10 @@ def test_usage_failure_exits_two(capsys):
 
 
 def test_oversized_input_exits_one_with_hint(capsys):
-    # too long a surjection roll, too large a moment sum, simulation
-    # blocks too large to hold in memory, and too many sweep values
-    simulation = ("--tokens", "8", "--slots", "4", "--users", "20000",
+    # too long a surjection roll, too large a moment sum, a simulated
+    # frame too large to hold in memory (compare's exact pmf refuses it
+    # first), and too many sweep values
+    simulation = ("--tokens", "8", "--slots", "4", "--users", "400000000",
                   "--seed", "1", "--iterations", "100000")
     for argv in [
         ("pmf", "--tokens", "64", "--slots", "8", "--users", "20000"),
@@ -120,6 +121,16 @@ def test_oversized_input_exits_one_with_hint(capsys):
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "fewer users or tokens" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_simulation_fits_tens_of_thousands_of_users(capsys, command):
+    code, out, err = run_cli(
+        capsys, command, "--tokens", "8", "--slots", "4", "--users", "20000",
+        "--seed", "1", "--iterations", "100",
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out)["iterations"] == 100
 
 
 @pytest.mark.parametrize(
@@ -172,7 +183,7 @@ def test_simulate_is_reproducible(capsys):
     assert code_a == code_b == 0
     assert out_a == out_b
     payload = json.loads(out_a)
-    assert payload["rng"] == "numpy-pcg64/v2"
+    assert payload["rng"] == "numpy-pcg64/v3"
     assert payload["seed"] == 42
     assert sum(payload["counts"]) == 2000
 

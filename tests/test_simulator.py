@@ -23,7 +23,7 @@ from accessframe.simulator import (
     make_rng,
     simulate_frame,
 )
-from accessframe.simulator import _block_bytes
+from accessframe.simulator import _BLOCK_BYTES, _block_bytes, _block_frames
 
 
 def test_sim_params_validation():
@@ -102,11 +102,12 @@ def test_frame_trace_validation():
 
 def test_binary_counts_equal_ternary_when_everyone_fits():
     # with a slot for every token, all active tokens are granted, so the
-    # binary hypergeometric draw returns the singles; one block means
-    # both modes tally the same user choices
+    # binary hypergeometric draw returns the singles and, taking every
+    # token, consumes no stream: both modes tally the same user choices
+    # even across blocks
     for tokens, slots, users in [(4, 4, 6), (8, 9, 12), (3, 5, 2)]:
         cfg = SystemConfig(tokens, slots, users)
-        for iterations in (1, 1000, 1 << 15):
+        for iterations in (1, 1000, 2 * _block_frames(cfg) + 3):
             binary = estimate_pmf(SimParams(cfg, iterations=iterations, seed=5))
             ternary = estimate_pmf(
                 SimParams(cfg, iterations=iterations, seed=5, mode="ternary")
@@ -116,9 +117,7 @@ def test_binary_counts_equal_ternary_when_everyone_fits():
 
 def test_binary_grant_matches_exact_pmf_when_crowded():
     # K is below the typical number of active tokens, so the grant's
-    # choice among them matters.  TV to the exact pmf must stay within
-    # its mean under sampling (bounded by sum sqrt(p(1-p)/N) / 2) plus a
-    # McDiarmid margin with false-alarm probability 1e-9.
+    # choice among them matters
     n = 10_000
     rng = make_rng(17)
     for cfg in (SystemConfig(4, 1, 3), SystemConfig(8, 4, 12)):
@@ -127,11 +126,26 @@ def test_binary_grant_matches_exact_pmf_when_crowded():
         tally = np.bincount([f.successes for f in frames], minlength=len(exact))
         assert len(tally) == len(exact)
         block = estimate_pmf(SimParams(cfg, iterations=n, seed=17))
-        noise = sum(math.sqrt(float(p * (1 - p)) / n) for p in exact) / 2
-        bound = noise + math.sqrt(math.log(1e9) / (2 * n))
         for counts in (tally, block.counts):
-            tv = sum(abs(float(p) - c / n) for p, c in zip(exact, counts)) / 2
-            assert tv <= bound, (cfg, tv, bound)
+            _assert_within_sampling_noise(exact, counts)
+
+
+def test_binary_matches_exact_pmf_with_wide_token_indices():
+    # more tokens than an int16 holds: choices are drawn as int64
+    cfg = SystemConfig(40000, 4, 12)
+    report = estimate_pmf(SimParams(cfg, iterations=3000, seed=23))
+    _assert_within_sampling_noise(success_pmf(cfg).mass, report.counts)
+
+
+def _assert_within_sampling_noise(exact, counts):
+    """TV between the exact masses and the tallied frame counts stays
+    within its mean under sampling (bounded by sum sqrt(p(1-p)/N) / 2)
+    plus a McDiarmid margin with false-alarm probability 1e-9."""
+    n = sum(counts)
+    noise = sum(math.sqrt(float(p * (1 - p)) / n) for p in exact) / 2
+    bound = noise + math.sqrt(math.log(1e9) / (2 * n))
+    tv = sum(abs(float(p) - c / n) for p, c in zip(exact, counts)) / 2
+    assert tv <= bound, (tv, bound)
 
 
 def test_estimate_pmf_masses_are_count_fractions():
@@ -176,32 +190,39 @@ def test_estimate_pmf_is_bit_deterministic():
 
 def test_estimate_pmf_spans_block_boundaries():
     # totals must cover every frame even when N is not a block multiple
-    n = (1 << 15) + 17
-    report = estimate_pmf(SimParams(SystemConfig(4, 2, 6), iterations=n, seed=3))
+    cfg = SystemConfig(4, 2, 6)
+    n = _block_frames(cfg) + 17
+    report = estimate_pmf(SimParams(cfg, iterations=n, seed=3))
     assert sum(report.counts) == n
 
 
 def test_seeded_streams_are_pinned_to_the_rng_version():
     # any change to these counts changes the published stream, so it must
     # come with a new RNG_ALGORITHM version
-    assert RNG_ALGORITHM == "numpy-pcg64/v2"
+    assert RNG_ALGORITHM == "numpy-pcg64/v3"
     binary = SimParams(
         SystemConfig(8, 3, 10), iterations=(1 << 15) + 17, seed=20260
     )
-    assert estimate_pmf(binary).counts == (3479, 13342, 12789, 3175)
+    assert estimate_pmf(binary).counts == (3459, 13283, 12948, 3095)
     ternary = SimParams(
         SystemConfig(6, 2, 5), iterations=1000, seed=77, mode="ternary"
     )
-    assert estimate_pmf(ternary).counts == (42, 265, 693)
+    assert estimate_pmf(ternary).counts == (34, 278, 688)
+    # two full blocks and a partial one at a benchmark-sized frame
+    crowded = SimParams(SystemConfig(128, 4, 160), iterations=1500, seed=20261)
+    assert 1500 > 2 * _block_frames(crowded.config)
+    assert 1500 % _block_frames(crowded.config) != 0
+    assert estimate_pmf(crowded).counts == (94, 348, 581, 367, 110)
 
 
 def test_estimate_pmf_refuses_oversized_blocks_before_drawing():
-    # a full block of 20000 users would hold gigabytes of choices
+    # blocks are cut to the byte budget, so only a frame whose own
+    # choices hold gigabytes is over the limit
     tracemalloc.start()
     try:
         for mode in DetectionMode:
             params = SimParams(
-                SystemConfig(8, 4, 20000), iterations=100000, seed=1, mode=mode
+                SystemConfig(8, 4, 4 * 10**8), iterations=100000, seed=1, mode=mode
             )
             with pytest.raises(ValueError, match="fewer users or tokens"):
                 estimate_pmf(params)
@@ -209,9 +230,26 @@ def test_estimate_pmf_refuses_oversized_blocks_before_drawing():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
-    # the limit applies to the block actually drawn, not to a full one
-    small = estimate_pmf(SimParams(SystemConfig(8, 4, 20000), iterations=10, seed=1))
-    assert sum(small.counts) == 10
+    # 20000 users fit many frames to a block
+    for mode in DetectionMode:
+        params = SimParams(SystemConfig(8, 4, 20000), iterations=100, seed=1, mode=mode)
+        assert _block_frames(params.config) < 100
+        assert sum(estimate_pmf(params).counts) == 100
+
+
+def test_estimate_pmf_peak_stays_within_the_block_budget():
+    # a benchmark-sized run holds about one budgeted block, whatever N is
+    for mode in DetectionMode:
+        params = SimParams(
+            SystemConfig(128, 46, 160), iterations=50000, seed=5, mode=mode
+        )
+        tracemalloc.start()
+        try:
+            estimate_pmf(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * _BLOCK_BYTES, mode
 
 
 def test_ternary_beats_binary_rate_under_load():
@@ -274,7 +312,7 @@ def test_empirical_distribution_matches_brute_force_tolerance():
 def test_report_json_carries_reproduction_data():
     params = SimParams(SystemConfig(8, 4, 12), iterations=2000, seed=77)
     payload = json.loads(estimate_pmf(params).to_json())
-    assert payload["rng"] == RNG_ALGORITHM == "numpy-pcg64/v2"
+    assert payload["rng"] == RNG_ALGORITHM == "numpy-pcg64/v3"
     assert payload["seed"] == 77
     assert payload["iterations"] == 2000
     assert payload["mode"] == "binary"
@@ -305,16 +343,21 @@ def test_comparison_record_serialization():
 
 @pytest.mark.parametrize("tokens, users", [(8, 12), (4, 2000), (128, 160), (400, 10)])
 def test_block_bytes_bounds_the_traced_peak(tokens, users):
-    # the estimate behind _BLOCK_BYTES_LIMIT must stay an upper bound
-    frames = 2000
+    # the estimate behind _BLOCK_BYTES_LIMIT must stay an upper bound on
+    # the block actually drawn, also over two full blocks and a partial
+    # one, apart from numpy's fixed-size buffers for the cast to intp (one
+    # per input operand of np.add)
+    cast_buffers = 2 * np.getbufsize() * np.dtype(np.intp).itemsize
     for mode in DetectionMode:
-        params = SimParams(
-            SystemConfig(tokens, 4, users), iterations=frames, seed=5, mode=mode
-        )
-        tracemalloc.start()
-        try:
-            estimate_pmf(params)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= _block_bytes(params.config, frames), mode
+        config = SystemConfig(tokens, 4, users)
+        block = _block_frames(config)
+        for frames in (2000, 2 * block + 17):
+            params = SimParams(config, iterations=frames, seed=5, mode=mode)
+            tracemalloc.start()
+            try:
+                estimate_pmf(params)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            drawn = _block_bytes(config, min(frames, block))
+            assert peak <= drawn + cast_buffers, (mode, frames)
