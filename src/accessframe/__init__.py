@@ -7,69 +7,65 @@ rational arithmetic end to end; the simulator reproduces the same
 distribution from a named, seeded random stream for validation and
 estimates the ternary-detection variant, for which the library ships no
 exact pmf.
+
+Importing the package loads none of its modules: each name below is
+imported from its module on first access (PEP 562), so a program pays
+only for the modules it uses.
 """
 
-from .analysis import (
-    PmfKind,
-    SuccessPmf,
-    SystemConfig,
-    outcome_probability,
-    success_pmf,
-)
-from .combinatorics import stirling2_assoc
-from .metrics import (
-    Axis,
-    FrameMetrics,
-    Provenance,
-    SweepReport,
-    efficiency,
-    expected_successes,
-    frame_metrics,
-    optimal_data_slots,
-    success_rate,
-    sweep,
-)
-from .simulator import (
-    RNG_ALGORITHM,
-    ComparisonRecord,
-    DetectionMode,
-    EmpiricalReport,
-    FrameTrace,
-    SimParams,
-    compare_to_exact,
-    estimate_pmf,
-    make_rng,
-    simulate_frame,
-)
+import importlib
+
+#: The public names, by the module that defines them.
+_EXPORTS = {
+    "analysis": (
+        "PmfKind",
+        "SuccessPmf",
+        "SystemConfig",
+        "outcome_probability",
+        "success_pmf",
+    ),
+    "combinatorics": ("stirling2_assoc",),
+    "metrics": (
+        "Axis",
+        "FrameMetrics",
+        "Provenance",
+        "SweepReport",
+        "efficiency",
+        "expected_successes",
+        "frame_metrics",
+        "optimal_data_slots",
+        "success_rate",
+        "sweep",
+    ),
+    "simulator": (
+        "RNG_ALGORITHM",
+        "ComparisonRecord",
+        "DetectionMode",
+        "EmpiricalReport",
+        "FrameTrace",
+        "SimParams",
+        "compare_to_exact",
+        "estimate_pmf",
+        "make_rng",
+        "simulate_frame",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "PmfKind",
-    "SuccessPmf",
-    "SystemConfig",
-    "outcome_probability",
-    "success_pmf",
-    "stirling2_assoc",
-    "Axis",
-    "FrameMetrics",
-    "Provenance",
-    "SweepReport",
-    "efficiency",
-    "expected_successes",
-    "frame_metrics",
-    "optimal_data_slots",
-    "success_rate",
-    "sweep",
-    "RNG_ALGORITHM",
-    "ComparisonRecord",
-    "DetectionMode",
-    "EmpiricalReport",
-    "FrameTrace",
-    "SimParams",
-    "compare_to_exact",
-    "estimate_pmf",
-    "make_rng",
-    "simulate_frame",
-    "__version__",
-]
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

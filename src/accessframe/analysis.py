@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import index as as_int
@@ -56,8 +55,75 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SystemConfig:
+class Record:
+    """Base of the package's frozen value records.
+
+    A subclass lists its fields as class annotations, in order; a class
+    attribute of the same name is that field's default.  A record takes
+    its fields by position or by name, runs ``__post_init__`` (which may
+    normalise a field through ``object.__setattr__``), and is immutable
+    from then on.  Records of the same class with equal fields compare
+    and hash equal, and the repr names every field.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls = type(self)
+        if len(args) > len(cls._fields):
+            raise TypeError(
+                f"{cls.__name__} has {len(cls._fields)} fields, got {len(args)} values"
+            )
+        values = dict(zip(cls._fields, args))
+        for name in cls._fields[len(args):]:
+            if name in kwargs:
+                values[name] = kwargs.pop(name)
+            elif hasattr(cls, name):
+                values[name] = getattr(cls, name)
+            else:
+                raise TypeError(f"{cls.__name__} needs a value for {name!r}")
+        if kwargs:
+            name = next(iter(kwargs))
+            raise TypeError(f"{cls.__name__} got an unknown or repeated field {name!r}")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check or normalise the fields; the base accepts any values."""
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(self.__dict__[name] for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self._fields, self._values())
+        )
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes):
+        """A copy with ``changes`` applied, checked like a new record."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+
+class SystemConfig(Record):
     """One access-frame scenario: tokens M, data slots K, users T.
 
     M and K are free of any ordering constraint; the analysis holds for
@@ -90,10 +156,77 @@ class SystemConfig:
         return self.data_slots + 1
 
 
+def _decimal(n: int) -> str:
+    """``str(n)`` at any size.  CPython refuses int -> str conversions
+    past ``sys.get_int_max_str_digits()`` digits; a longer int is split
+    at a power of ten into halves converted on their own, so that
+    interpreter-wide limit is never changed."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + _decimal(-n)
+    # 0.15 digits per bit is about half of n's digits and fewer than all
+    # of them, so the high half is positive and has no leading zeros
+    k = n.bit_length() * 3 // 20
+    high, low = divmod(n, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
+def _parse_decimal(text: str) -> int:
+    """``int(text)`` for an optionally signed run of decimal digits at any
+    size, the inverse of :func:`_decimal`."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise
+    k = len(digits) // 2
+    value = _parse_decimal(digits[:-k]) * 10**k + _parse_decimal(digits[-k:])
+    return -value if text.startswith("-") else value
+
+
 def json_rational(value: Fraction | None) -> str | None:
     """An exact rational as the ``"numerator/denominator"`` string the JSON
-    documents carry; None stays None."""
-    return None if value is None else f"{value.numerator}/{value.denominator}"
+    documents carry, however many digits it has; None stays None."""
+    if value is None:
+        return None
+    return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
+
+
+def parse_rational(text: str) -> Fraction:
+    """``Fraction(text)``, also for a ``"numerator/denominator"`` string
+    too long for it (the inverse of :func:`json_rational`)."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        numerator, slash, denominator = text.partition("/")
+        if not slash:
+            raise
+    return Fraction(_parse_decimal(numerator), _parse_decimal(denominator))
+
+
+#: Column order shared by every tabular export in the package.
+CSV_HEADER = "M,K,T,expected_successes,success_rate,efficiency"
+
+
+def csv_fields(
+    config: SystemConfig,
+    expected: Fraction,
+    rate: Fraction | None,
+    eff: Fraction,
+) -> str:
+    """One CSV data row in :data:`CSV_HEADER` order, 12 significant digits.
+
+    ``rate`` may be None (no users); its field is then left empty.
+    """
+    rate_field = "" if rate is None else f"{float(rate):.12g}"
+    return (
+        f"{config.tokens},{config.data_slots},{config.users},"
+        f"{float(expected):.12g},{rate_field},{float(eff):.12g}"
+    )
 
 
 class PmfKind(str, Enum):
@@ -177,8 +310,7 @@ def success_pmf(config: SystemConfig) -> "SuccessPmf":
     return SuccessPmf(config=config, mass=mass, kind=PmfKind.EXACT)
 
 
-@dataclass(frozen=True)
-class SuccessPmf:
+class SuccessPmf(Record):
     """Distribution of the per-frame success count S, indexed d = 0 ..
     min(tokens, data_slots, users).
 
@@ -226,7 +358,7 @@ class SuccessPmf:
             tokens=payload["M"], data_slots=payload["K"], users=payload["T"]
         )
         kind = PmfKind(payload["kind"])
-        mass = tuple(Fraction(p) for p in payload["mass"])
+        mass = tuple(parse_rational(p) for p in payload["mass"])
         return cls(config=config, mass=mass, kind=kind)
 
     def to_csv(self) -> str:

@@ -11,18 +11,18 @@ standard error only.
 Exit status: 0 on success, 1 when a value fails validation, the input
 is too large to compute or the output cannot be written, 2 on usage
 errors.
+
+Each handler imports the modules it runs when it runs, so ``pmf`` loads
+``analysis`` and ``combinatorics``, the other exact subcommands add
+``metrics``, only ``simulate`` and ``compare`` load ``simulator``, and
+``--help`` loads none of them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-
-from .analysis import SystemConfig, json_rational, success_pmf
-from .metrics import Axis, frame_metrics, optimal_data_slots, sweep
-from .simulator import DetectionMode, SimParams, _compare, estimate_pmf
 
 __all__ = ["build_parser", "main"]
 
@@ -166,12 +166,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The library calls behind the handlers, each importing its module at its
+# first call.  They stay names of this module, so a wrapper set here
+# (perfbench/tracer.py times each call that way) sees every call.
+def success_pmf(config):
+    from .analysis import success_pmf
+
+    return success_pmf(config)
+
+
+def frame_metrics(config):
+    from .metrics import frame_metrics
+
+    return frame_metrics(config)
+
+
+def sweep(base, axis, values):
+    from .metrics import sweep
+
+    return sweep(base, axis, values)
+
+
+def optimal_data_slots(tokens, users, k_max):
+    from .metrics import optimal_data_slots
+
+    return optimal_data_slots(tokens, users, k_max)
+
+
+def estimate_pmf(params):
+    from .simulator import estimate_pmf
+
+    return estimate_pmf(params)
+
+
 def _run_pmf(args: argparse.Namespace) -> str:
+    from .analysis import SystemConfig
+
     pmf = success_pmf(SystemConfig(args.tokens, args.slots, args.users))
     return pmf.to_csv() if args.format == "csv" else pmf.to_json()
 
 
 def _run_metrics(args: argparse.Namespace) -> str:
+    from .analysis import SystemConfig
+
     report = frame_metrics(SystemConfig(args.tokens, args.slots, args.users))
     return report.to_csv() if args.format == "csv" else report.to_json()
 
@@ -196,6 +233,11 @@ def _parse_range(value) -> tuple[int, int]:
 
 
 def _run_sweep(args: argparse.Namespace) -> str:
+    import json
+
+    from .analysis import SystemConfig
+    from .metrics import Axis
+
     merged: dict = {}
     if args.config is not None:
         try:
@@ -240,6 +282,9 @@ def _run_sweep(args: argparse.Namespace) -> str:
 
 
 def _run_simulate(args: argparse.Namespace) -> str:
+    from .analysis import SystemConfig
+    from .simulator import DetectionMode, SimParams
+
     params = SimParams(
         config=SystemConfig(args.tokens, args.slots, args.users),
         iterations=args.iterations,
@@ -251,6 +296,9 @@ def _run_simulate(args: argparse.Namespace) -> str:
 
 
 def _run_compare(args: argparse.Namespace) -> str:
+    from .analysis import SystemConfig
+    from .simulator import SimParams, _compare
+
     config = SystemConfig(args.tokens, args.slots, args.users)
     params = SimParams(config=config, iterations=args.iterations, seed=args.seed)
     # the exact pmf first: an input too large for it is refused before
@@ -261,6 +309,10 @@ def _run_compare(args: argparse.Namespace) -> str:
 
 
 def _run_optimize(args: argparse.Namespace) -> str:
+    import json
+
+    from .analysis import json_rational
+
     best_k, best_value = optimal_data_slots(args.tokens, args.users, args.k_max)
     if args.format == "csv":
         return (

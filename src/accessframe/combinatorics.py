@@ -17,7 +17,7 @@ import math
 from collections import deque
 from itertools import accumulate, chain
 from operator import add, mul
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 __all__ = [
     "stirling2_assoc",

@@ -30,15 +30,14 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from collections.abc import Callable, Iterable, Sequence
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
 from operator import index as as_int
 from operator import mul
-from typing import Callable, Iterable, Sequence
 
-from .analysis import SystemConfig, json_rational
+from .analysis import CSV_HEADER, Record, SystemConfig, csv_fields, json_rational
 from .combinatorics import exact_work, refuse_oversized, surjection_rows
 
 __all__ = [
@@ -55,10 +54,6 @@ __all__ = [
     "optimal_data_slots",
 ]
 
-#: Column order shared by every tabular export in the package.
-CSV_HEADER = "M,K,T,expected_successes,success_rate,efficiency"
-
-
 class Axis(str, Enum):
     """Which configuration field a sweep varies."""
 
@@ -66,8 +61,7 @@ class Axis(str, Enum):
     DATA_SLOTS = "data_slots"
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(Record):
     """How a table's numbers were produced.
 
     ``kind`` is "exact" for the closed-form path and "simulated" for
@@ -92,25 +86,7 @@ class Provenance:
         return {"kind": self.kind, "seed": self.seed, "iterations": self.iterations}
 
 
-def csv_fields(
-    config: SystemConfig,
-    expected: Fraction,
-    rate: Fraction | None,
-    eff: Fraction,
-) -> str:
-    """One CSV data row in :data:`CSV_HEADER` order, 12 significant digits.
-
-    ``rate`` may be None (no users); its field is then left empty.
-    """
-    rate_field = "" if rate is None else f"{float(rate):.12g}"
-    return (
-        f"{config.tokens},{config.data_slots},{config.users},"
-        f"{float(expected):.12g},{rate_field},{float(eff):.12g}"
-    )
-
-
-@dataclass(frozen=True)
-class FrameMetrics:
+class FrameMetrics(Record):
     """Exact per-frame summary for one configuration.
 
     The three fields are redundant by construction and that redundancy
@@ -257,8 +233,7 @@ def frame_metrics(config: SystemConfig) -> FrameMetrics:
     return _frame_metrics(config, expected_successes(config))
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(Record):
     """Metrics tabulated along one axis, everything else held fixed.
 
     ``base`` supplies the fixed fields; the swept field's value in
@@ -326,7 +301,7 @@ def sweep(base: SystemConfig, axis: Axis | str, values: Iterable[int]) -> SweepR
     else:
         _refuse_oversized(base.tokens, (base.users,), len(values))
     values = tuple(values)
-    configs = [replace(base, **{axis.value: v}) for v in values]
+    configs = [base.replace(**{axis.value: v}) for v in values]
     if axis is Axis.USERS:
         means = _means_by_users(base.tokens, base.data_slots, values)
     else:

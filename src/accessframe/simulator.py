@@ -30,14 +30,21 @@ subcommands, ``--help`` and refusals never load it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import index as as_int
 from typing import TYPE_CHECKING
 
-from .analysis import PmfKind, SuccessPmf, SystemConfig, json_rational, success_pmf
-from .metrics import CSV_HEADER, csv_fields
+from .analysis import (
+    CSV_HEADER,
+    PmfKind,
+    Record,
+    SuccessPmf,
+    SystemConfig,
+    csv_fields,
+    json_rational,
+    success_pmf,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -82,12 +89,17 @@ def _block_bytes(config: SystemConfig, frames: int) -> int:
     """Estimated working set of a block of ``frames`` frames in
     :func:`estimate_pmf`: per frame, 10 bytes per user (the int16
     choices and their intp bins; 16 with int64 choices) and 40 per
-    token (the intp counts, the singles and active-token masks and the
-    per-frame vectors).  It bounds the peak that tracemalloc reports
-    from two tokens up, apart from numpy's fixed-size cast buffers (at
-    most two of ``np.getbufsize()`` intp elements)."""
+    token, but no less than 80, for the intp counts, the singles and
+    active-token masks and the five int64 grant vectors (singles,
+    active tokens, their difference, the grant size and the successes).
+    It bounds the peak that tracemalloc reports, apart from numpy's
+    fixed-size cast buffers (at most two of ``np.getbufsize()`` intp
+    elements).  The floor only matters at one token, where every
+    outcome is certain, so the frames per block, and with them the
+    stream layout, are those of a flat 40 bytes per token."""
     choice_bytes = 2 if config.tokens <= _NARROW_TOKENS else 8
-    return frames * ((choice_bytes + 8) * config.users + 40 * config.tokens)
+    token_bytes = 40 * max(config.tokens, 2)
+    return frames * ((choice_bytes + 8) * config.users + token_bytes)
 
 
 def _block_frames(config: SystemConfig) -> int:
@@ -110,8 +122,7 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-@dataclass(frozen=True)
-class SimParams:
+class SimParams(Record):
     """Everything that determines a simulation run, bit for bit."""
 
     config: SystemConfig
@@ -129,8 +140,7 @@ class SimParams:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
-@dataclass(frozen=True)
-class FrameTrace:
+class FrameTrace(Record):
     """One simulated frame: who picked what, who got a slot, who won."""
 
     config: SystemConfig
@@ -188,8 +198,7 @@ def simulate_frame(
     )
 
 
-@dataclass(frozen=True)
-class EmpiricalReport:
+class EmpiricalReport(Record):
     """Tallied outcome of a simulation run.
 
     ``counts[d]`` is the raw number of frames with d successes; the
@@ -309,8 +318,7 @@ def _block_counts(
     return counts.reshape(frames, config.tokens)
 
 
-@dataclass(frozen=True)
-class ComparisonRecord:
+class ComparisonRecord(Record):
     """Empirical-vs-exact distance for one simulation run."""
 
     params: SimParams

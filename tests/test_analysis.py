@@ -15,7 +15,9 @@ from accessframe.analysis import (
     PmfKind,
     SuccessPmf,
     SystemConfig,
+    json_rational,
     outcome_probability,
+    parse_rational,
     success_pmf,
 )
 from accessframe import analysis
@@ -271,6 +273,53 @@ def test_pmf_json_round_trip_is_exact():
     clone = SuccessPmf.from_json(pmf.to_json())
     assert clone == pmf
     assert clone.to_json() == pmf.to_json()
+
+
+def _digits(n: int) -> str:
+    """The decimal digits of n >= 0, converted in 1000-digit chunks that
+    each fit under the interpreter's int -> str limit."""
+    chunks = []
+    while True:
+        n, chunk = divmod(n, 10**1000)
+        chunks.append(str(chunk))
+        if not n:
+            break
+    return chunks[-1] + "".join(c.zfill(1000) for c in reversed(chunks[:-1]))
+
+
+def test_json_rational_writes_every_digit_past_the_str_limit():
+    limit = sys.get_int_max_str_digits()
+    for value in (
+        Fraction(3**9000 + 1, 7**8000),
+        Fraction(-(10**5000), 3),  # a high half followed by zeros
+        Fraction(10**6000 + 1, 2**20000),  # zeros in the middle
+    ):
+        text = json_rational(value)
+        sign = "-" if value < 0 else ""
+        assert text == (
+            f"{sign}{_digits(abs(value.numerator))}/{_digits(value.denominator)}"
+        )
+        assert parse_rational(text) == value
+    assert json_rational(Fraction(-3, 4)) == "-3/4"
+    assert parse_rational("-3/4") == Fraction(-3, 4)
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_parse_rational_still_rejects_malformed_text():
+    for text in ("", "1/", "/2", "a/b", "1/2/3", "1" * 5000 + "x/3"):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+
+
+def test_pmf_json_round_trip_past_the_str_limit():
+    tail = Fraction(1, 3**10000)  # 4772 digits
+    pmf = SuccessPmf(
+        config=SystemConfig(3, 1, 10000), mass=(tail, 1 - tail), kind=PmfKind.EXACT
+    )
+    text = pmf.to_json()
+    clone = SuccessPmf.from_json(text)
+    assert clone == pmf
+    assert clone.to_json() == text
 
 
 def test_pmf_json_schema():

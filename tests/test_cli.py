@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import subprocess
 import sys
@@ -10,8 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from accessframe.analysis import SuccessPmf, SystemConfig
-from accessframe import cli
+from accessframe.analysis import SuccessPmf, SystemConfig, parse_rational
 from accessframe.cli import FORMAT_ENV, main
 from accessframe.metrics import Axis, expected_successes, frame_metrics, sweep
 from accessframe.simulator import SimParams, compare_to_exact, estimate_pmf
@@ -147,11 +147,48 @@ def test_pmf_fits_tokens_and_users_in_the_hundreds(capsys, tokens, slots, users)
     assert pmf.mean() == expected_successes(SystemConfig(tokens, slots, users))
 
 
+@pytest.fixture(scope="module")
+def mean_past_the_str_limit():
+    return expected_successes(SystemConfig(64, 8, 5000))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pmf", "--tokens", "64", "--slots", "8", "--users", "5000"),
+        ("metrics", "--tokens", "64", "--slots", "8", "--users", "5000"),
+        ("sweep", "--tokens", "64", "--slots", "8", "--axis", "users",
+         "--range", "5000:5000"),
+        ("optimize-k", "--tokens", "64", "--users", "5000", "--k-max", "8"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_exact_json_past_the_str_limit(capsys, argv, mean_past_the_str_limit):
+    # denominators of 64**5000, 9031 digits; the interpreter's int -> str
+    # limit is left as it was
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0 and err == ""
+    assert sys.get_int_max_str_digits() == limit
+    doc = json.loads(out)
+    mean = mean_past_the_str_limit
+    if argv[0] == "pmf":
+        pmf = SuccessPmf.from_json(out)
+        assert pmf.to_json() + "\n" == out
+        assert pmf.total() == 1 and pmf.mean() == mean
+    elif argv[0] == "optimize-k":
+        assert doc["K_star"] == 8
+        assert parse_rational(doc["efficiency"]) == mean / 9
+    else:
+        row = doc["rows"][0] if argv[0] == "sweep" else doc
+        assert parse_rational(row["expected_successes"]) == mean
+
+
 def test_compare_refuses_oversized_exact_pmf_before_simulating(capsys, monkeypatch):
     def no_simulation(params):
         raise AssertionError("compare simulated before checking the exact pmf")
 
-    monkeypatch.setattr(cli, "estimate_pmf", no_simulation)
+    monkeypatch.setattr("accessframe.simulator.estimate_pmf", no_simulation)
     code, out, err = run_cli(
         capsys, "compare", "--tokens", "1000", "--slots", "100", "--users", "1000",
         "--seed", "1", "--iterations", "30000",
@@ -371,58 +408,113 @@ def test_module_entry_point_runs():
     assert result.stdout.endswith("2,1,2,0.5,0.25,0.25\n")
 
 
-#: Runs ``cli.main(argv)`` in a fresh interpreter, then prints whether
-#: numpy was imported and the exit code.
-_NUMPY_PROBE = """
+#: Runs ``cli.main(argv)`` in a fresh interpreter, then prints the exit
+#: code, whether numpy, dataclasses and inspect were imported, and the
+#: package's loaded submodules.
+_MODULE_PROBE = """
 import sys
 from accessframe.cli import main
 try:
     code = main(sys.argv[1:])
 except SystemExit as stop:
     code = stop.code
-print("numpy" in sys.modules, code)
+loaded = set(sys.modules)
+submodules = sorted(
+    name.removeprefix("accessframe.") for name in loaded
+    if name.startswith("accessframe.")
+)
+flags = [name in loaded for name in ("numpy", "dataclasses", "inspect")]
+print(code, *flags, ",".join(submodules))
 """
 
 
-def _numpy_probe(*argv: str) -> str:
+@functools.lru_cache(maxsize=None)
+def _module_probe(*argv: str) -> tuple[str, ...]:
     result = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, *argv],
+        [sys.executable, "-c", _MODULE_PROBE, *argv],
         capture_output=True,
         text=True,
     )
-    return result.stdout.splitlines()[-1]
+    return tuple(result.stdout.splitlines()[-1].split())
+
+
+EXACT = "analysis,cli,combinatorics"
+SCAN = "analysis,cli,combinatorics,metrics"
+SIMULATION = "analysis,cli,combinatorics,simulator"
+
+#: One call of each subcommand: its argv, then whether it loads numpy
+#: and its exit code, then the package modules it loads.
+PROBED = {
+    "help": (("--help",), "False 0", "cli"),
+    "pmf": (("pmf", "--tokens", "8", "--slots", "4", "--users", "12"),
+            "False 0", EXACT),
+    "metrics": (("metrics", "--tokens", "8", "--slots", "4", "--users", "12"),
+                "False 0", SCAN),
+    "sweep-users": (("sweep", "--tokens", "8", "--slots", "4", "--axis", "users",
+                     "--range", "1:5"), "False 0", SCAN),
+    "sweep-data-slots": (("sweep", "--tokens", "8", "--users", "12",
+                          "--axis", "data-slots", "--range", "1:5"), "False 0", SCAN),
+    "optimize-k": (("optimize-k", "--tokens", "8", "--users", "12", "--k-max", "8"),
+                   "False 0", SCAN),
+    # refused by the exact guard before any frame is drawn
+    "compare-refused": (("compare", "--tokens", "1000", "--slots", "100",
+                         "--users", "1000", "--seed", "1", "--iterations", "30000"),
+                        "False 1", SIMULATION),
+    "simulate": (("simulate", "--tokens", "4", "--slots", "2", "--users", "6",
+                  "--seed", "1", "--iterations", "100"), "True 0", SIMULATION),
+}
 
 
 def test_import_leaves_numpy_unloaded():
+    # nor any of the package's own modules
     result = subprocess.run(
         [sys.executable, "-c",
-         "import sys, accessframe; print('numpy' in sys.modules)"],
+         "import sys, accessframe; "
+         "print(sorted(m for m in sys.modules if m.startswith(('accessframe', 'numpy'))))"],
         capture_output=True,
         text=True,
     )
-    assert result.stdout == "False\n"
+    assert result.stdout == "['accessframe']\n"
 
 
-@pytest.mark.parametrize(
-    "argv, expected",
-    [
-        (("--help",), "False 0"),
-        (("pmf", "--tokens", "8", "--slots", "4", "--users", "12"), "False 0"),
-        (("metrics", "--tokens", "8", "--slots", "4", "--users", "12"), "False 0"),
-        (("sweep", "--tokens", "8", "--slots", "4", "--axis", "users",
-          "--range", "1:5"), "False 0"),
-        (("sweep", "--tokens", "8", "--users", "12", "--axis", "data-slots",
-          "--range", "1:5"), "False 0"),
-        (("optimize-k", "--tokens", "8", "--users", "12", "--k-max", "8"),
-         "False 0"),
-        # refused by the exact guard before any frame is drawn
-        (("compare", "--tokens", "1000", "--slots", "100", "--users", "1000",
-          "--seed", "1", "--iterations", "30000"), "False 1"),
-        (("simulate", "--tokens", "4", "--slots", "2", "--users", "6",
-          "--seed", "1", "--iterations", "100"), "True 0"),
-    ],
-    ids=["help", "pmf", "metrics", "sweep-users", "sweep-data-slots",
-         "optimize-k", "compare-refused", "simulate"],
-)
-def test_numpy_is_imported_only_to_draw(argv, expected):
-    assert _numpy_probe(*argv) == expected
+def test_package_names_resolve_on_first_access():
+    script = """
+import accessframe
+from accessframe import analysis, combinatorics, metrics, simulator
+owners = (analysis, combinatorics, metrics, simulator)
+for name in accessframe.__all__:
+    value = getattr(accessframe, name)
+    assert name == "__version__" or any(
+        getattr(module, name, None) is value for module in owners
+    ), name
+assert set(accessframe.__all__) <= set(dir(accessframe))
+namespace = {}
+exec("from accessframe import *", namespace)
+assert set(accessframe.__all__) <= set(namespace)
+try:
+    accessframe.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "module 'accessframe' has no attribute 'no_such_name'\n"
+
+
+@pytest.mark.parametrize("probe", list(PROBED))
+def test_numpy_is_imported_only_to_draw(probe):
+    argv, expected, _ = PROBED[probe]
+    code, numpy, *_ = _module_probe(*argv)
+    assert f"{numpy} {code}" == expected
+
+
+@pytest.mark.parametrize("probe", list(PROBED))
+def test_each_subcommand_loads_only_what_it_runs(probe):
+    argv, _, modules = PROBED[probe]
+    code, numpy, dataclasses, inspect, loaded = _module_probe(*argv)
+    assert loaded == modules
+    assert dataclasses == "False"
+    # numpy imports inspect itself; the package never does
+    assert inspect == numpy

@@ -341,16 +341,23 @@ def test_comparison_record_serialization():
     assert header == "M,K,T,mode,seed,iterations,tv_distance,max_abs_mass_error"
 
 
-@pytest.mark.parametrize("tokens, users", [(8, 12), (4, 2000), (128, 160), (400, 10)])
-def test_block_bytes_bounds_the_traced_peak(tokens, users):
+@pytest.mark.parametrize(
+    "tokens, slots, users",
+    [(8, 4, 12), (4, 4, 2000), (128, 4, 160), (400, 4, 10), (1, 1, 1), (1, 4, 40)],
+    ids=["8-12", "4-2000", "128-160", "400-10", "1-1-1", "1-4-40"],
+)
+def test_block_bytes_bounds_the_traced_peak(tokens, slots, users):
     # the estimate behind _BLOCK_BYTES_LIMIT must stay an upper bound on
     # the block actually drawn, also over two full blocks and a partial
     # one, apart from numpy's fixed-size buffers for the cast to intp (one
     # per input operand of np.add)
     cast_buffers = 2 * np.getbufsize() * np.dtype(np.intp).itemsize
     for mode in DetectionMode:
-        config = SystemConfig(tokens, 4, users)
+        config = SystemConfig(tokens, slots, users)
         block = _block_frames(config)
+        # one untraced frame first, so numpy.random's first import stays
+        # out of the trace when this test runs on its own
+        estimate_pmf(SimParams(config, iterations=1, seed=5, mode=mode))
         for frames in (2000, 2 * block + 17):
             params = SimParams(config, iterations=frames, seed=5, mode=mode)
             tracemalloc.start()
