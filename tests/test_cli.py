@@ -381,6 +381,43 @@ def test_sweep_missing_config_file_exits_one(capsys, tmp_path):
     assert "config" in err
 
 
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (("--tokens", "8", "--slots", "4", "--axis", "users", "--range", "a:b"),
+         None, "range must be LO:HI"),
+        ((), [8, 4, 12], "config file must hold a JSON object"),
+        ((), {"tokens": 8, "slots": 4, "axis": "users"}, "sweep needs a range"),
+        (("--slots", "4", "--axis", "users", "--range", "1:3"),
+         None, "sweep needs --tokens"),
+        (("--tokens", "8", "--slots", "4", "--axis", "users", "--range", "0:3"),
+         None, "success rate needs at least one user"),
+    ],
+    ids=["range", "array-config", "no-range", "no-tokens", "no-users"],
+)
+def test_sweep_input_errors_exit_one(capsys, tmp_path, argv, config, message):
+    if config is not None:
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(config))
+        argv = (*argv, "--config", str(path))
+    code, out, err = run_cli(capsys, "sweep", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_simulate_without_users_leaves_the_rate_empty(capsys):
+    argv = ("simulate", "--tokens", "8", "--slots", "4", "--users", "0",
+            "--seed", "1", "--iterations", "10")
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["success_rate"] is None
+    assert '"success_rate": null' in out
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1] == "8,4,0,0,,0,binary,1,10"
+
+
 def test_optimize_k_formats(capsys):
     code, out, _ = run_cli(
         capsys, "optimize-k", "--tokens", "1", "--users", "1", "--k-max", "8",

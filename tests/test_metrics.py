@@ -33,8 +33,9 @@ def test_success_rate_values():
 
 
 def test_success_rate_needs_users():
-    with pytest.raises(ValueError):
-        success_rate(SystemConfig(2, 1, 0))
+    for call in (success_rate, frame_metrics):
+        with pytest.raises(ValueError, match="success rate needs at least one user"):
+            call(SystemConfig(4, 2, 0))
 
 
 def test_efficiency_values():
