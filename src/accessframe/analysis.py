@@ -122,6 +122,10 @@ class Record:
         """A copy with ``changes`` applied, checked like a new record."""
         return type(self)(**dict(zip(self._fields, self._values()), **changes))
 
+    def to_json(self) -> str:
+        """The record's JSON document: its ``to_json_dict()``, indented."""
+        return json.dumps(self.to_json_dict(), indent=2)
+
 
 class SystemConfig(Record):
     """One access-frame scenario: tokens M, data slots K, users T.
@@ -154,6 +158,10 @@ class SystemConfig(Record):
     def frame_slots(self) -> int:
         """Total frame length: one contention slot plus the data slots."""
         return self.data_slots + 1
+
+    def to_json_dict(self) -> dict:
+        """The ``M``, ``K``, ``T`` fields that head every document."""
+        return {"M": self.tokens, "K": self.data_slots, "T": self.users}
 
 
 def _decimal(n: int) -> str:
@@ -212,20 +220,22 @@ def parse_rational(text: str) -> Fraction:
 CSV_HEADER = "M,K,T,expected_successes,success_rate,efficiency"
 
 
+def csv_float(value: Fraction | None) -> str:
+    """A number as the CSV documents carry it, to 12 significant digits;
+    None (a rate without users) is an empty field."""
+    return "" if value is None else f"{float(value):.12g}"
+
+
 def csv_fields(
     config: SystemConfig,
     expected: Fraction,
     rate: Fraction | None,
     eff: Fraction,
 ) -> str:
-    """One CSV data row in :data:`CSV_HEADER` order, 12 significant digits.
-
-    ``rate`` may be None (no users); its field is then left empty.
-    """
-    rate_field = "" if rate is None else f"{float(rate):.12g}"
+    """One CSV data row in :data:`CSV_HEADER` order."""
     return (
         f"{config.tokens},{config.data_slots},{config.users},"
-        f"{float(expected):.12g},{rate_field},{float(eff):.12g}"
+        f"{csv_float(expected)},{csv_float(rate)},{csv_float(eff)}"
     )
 
 
@@ -289,14 +299,13 @@ def success_pmf(config: SystemConfig) -> "SuccessPmf":
     refuse_oversized(work, f"the exact pmf for {big_m} tokens and {t} users")
     occupancies = [math.comb(big_m, a) for a in range(width + 1)]
     moments = [0] * (top + 1)
-    for n, row in enumerate(surjection_rows(t, width)):
-        r = t - n
-        if r <= top:  # row n holds surj(T - r, a - r) for a = r .. width
-            weights = [
-                occupancies[a] * math.comb(min(a, big_k), r)
-                for a in range(r, width + 1)
-            ]
-            moments[r] = math.perm(t, r) * sum(map(mul, weights, row))
+    rows = surjection_rows(range(t - top, t + 1), width)
+    for r, row in zip(range(top, -1, -1), rows):
+        # row T - r holds surj(T - r, a - r) for a = r .. width
+        weights = [
+            occupancies[a] * math.comb(min(a, big_k), r) for a in range(r, width + 1)
+        ]
+        moments[r] = math.perm(t, r) * sum(map(mul, weights, row))
 
     # the inversion is the coefficient list of sum_r B_r * (x - 1)**r,
     # evaluated by Horner's rule: multiply by (x - 1), then add B_r
@@ -341,15 +350,10 @@ class SuccessPmf(Record):
 
     def to_json_dict(self) -> dict:
         return {
-            "M": self.config.tokens,
-            "K": self.config.data_slots,
-            "T": self.config.users,
+            **self.config.to_json_dict(),
             "kind": self.kind.value,
             "mass": [json_rational(p) for p in self.mass],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "SuccessPmf":
@@ -363,5 +367,5 @@ class SuccessPmf(Record):
 
     def to_csv(self) -> str:
         lines = ["d,probability"]
-        lines += [f"{d},{float(p):.12g}" for d, p in enumerate(self.mass)]
+        lines += [f"{d},{csv_float(p)}" for d, p in enumerate(self.mass)]
         return "\n".join(lines) + "\n"

@@ -311,14 +311,14 @@ def _run_compare(args: argparse.Namespace) -> str:
 def _run_optimize(args: argparse.Namespace) -> str:
     import json
 
-    from .analysis import json_rational
+    from .analysis import csv_float, json_rational
 
     best_k, best_value = optimal_data_slots(args.tokens, args.users, args.k_max)
     if args.format == "csv":
         return (
             "M,T,k_max,K_star,efficiency\n"
             f"{args.tokens},{args.users},{args.k_max},{best_k},"
-            f"{float(best_value):.12g}\n"
+            f"{csv_float(best_value)}\n"
         )
     return json.dumps(
         {

@@ -3,19 +3,18 @@ surjection numbers, and the 2-associated Stirling numbers read off them,
 with the one cost model every exact computation is held to.
 
 Everything here is integer arithmetic on Python ints, so results are
-exact at any magnitude.  Surjection rows are built by rolling their
-recurrence forward row by row, capped at the columns their callers read.
-:func:`exact_work` prices an exact plan (a roll, the products and
-reductions over it, and fixed costs per item), and
-:func:`refuse_oversized` refuses one over :data:`SURJECTION_WORK_LIMIT`
-before it starts.
+exact at any magnitude.  :func:`surjection_rows` rolls their recurrence
+forward from row 0 and yields the rows its caller reads, capped at the
+columns the caller reads.  It prices nothing itself: every caller first
+prices its whole plan (a roll, the products and reductions over it, and
+fixed costs per item) with :func:`exact_work`, and :func:`refuse_oversized`
+refuses one over :data:`SURJECTION_WORK_LIMIT` before it starts.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from operator import add, mul
 from collections.abc import Iterable, Iterator
 
@@ -42,14 +41,17 @@ def stirling2_assoc(n: int, k: int) -> int:
     which reads surjection rows n - k .. n capped at k columns.  S(0, 0) = 1
     (the empty partition), and S(n, k) = 0 whenever k > floor(n / 2), k = 0
     < n or either argument is negative; those need no roll.  Other inputs
-    whose roll :func:`surjection_rows` refuses raise ``ValueError`` before
-    it starts.
+    whose roll :func:`exact_work` prices over :data:`SURJECTION_WORK_LIMIT`
+    raise ``ValueError`` before it starts.
     """
     if n < 0 or k < 0 or 2 * k > n:
         return 0
     if k == 0:
         return int(n == 0)
-    rows = deque(surjection_rows(n, k), maxlen=k + 1)  # rows n - k .. n
+    refuse_oversized(
+        exact_work(n, k), f"surjection counts up to n={n} in {k} columns"
+    )
+    rows = list(surjection_rows(range(n - k, n + 1), k))
     labelled = sum(
         (-1) ** j * math.comb(k, j) * math.perm(n, j) * rows[k - j][k - j]
         for j in range(k + 1)
@@ -161,9 +163,9 @@ def refuse_oversized(work: float, what: str) -> None:
         )
 
 
-def surjection_rows(rows: int, cols: int) -> Iterator[tuple[int, ...]]:
-    """Rows 0..rows of the surjection numbers, capped at ``cols`` columns,
-    one row at a time.
+def surjection_rows(rows: range, cols: int) -> Iterator[tuple[int, ...]]:
+    """The surjection numbers of each row n in ``rows``, capped at ``cols``
+    columns, one row at a time.
 
     surj(n, j) = j! * S(n, j) counts the maps from an n-set onto a j-set
     (S the ordinary Stirling numbers of the second kind).  They follow
@@ -171,26 +173,20 @@ def surjection_rows(rows: int, cols: int) -> Iterator[tuple[int, ...]]:
         surj(n, j) = j * (surj(n - 1, j) + surj(n - 1, j - 1))
 
     from surj(0, 0) = 1, and surj(n, j) = 0 for j > n and for j = 0 < n.
-    Row n is yielded as a tuple over j = 0 .. min(cols, n), and only the
-    latest row is held, so a caller that needs a row per user count walks
-    them in one pass.  A roll whose :func:`exact_work` is over
-    :data:`SURJECTION_WORK_LIMIT` raises ``ValueError`` here, before the
-    first row.
+    Row n is yielded as a tuple over j = 0 .. min(cols, n).  The roll
+    always starts at row 0, and only the latest row is held, so a caller
+    that needs a row per user count walks them in one pass.  Nothing is
+    priced here: a caller refuses an oversized roll with
+    :func:`exact_work` and :func:`refuse_oversized` before it asks.
     """
-    if rows < 0 or cols < 0:
+    if rows.start < 0 or cols < 0:
         raise ValueError(f"need rows >= 0 and cols >= 0, got ({rows}, {cols})")
-    refuse_oversized(
-        exact_work(rows, cols),
-        f"surjection counts up to n={rows} in {cols} columns",
-    )
-    return _roll_surjections(rows, cols)
 
-
-def _roll_surjections(rows: int, cols: int) -> Iterator[tuple[int, ...]]:
-    row: tuple[int, ...] = (1,)  # row 0
-    yield row
-    for n in range(1, rows + 1):
-        # j * (surj(n-1, j) + surj(n-1, j-1)) for j = 1 .. min(cols, n)
+    def roll(row: tuple[int, ...], n: int) -> tuple[int, ...]:
+        # row n: j * (surj(n-1, j) + surj(n-1, j-1)) for j = 1 .. min(cols, n)
         sums = map(add, row[1:] + (0,), row)
-        row = (0, *map(mul, range(1, min(cols, n) + 1), sums))
-        yield row
+        return (0, *map(mul, range(1, min(cols, n) + 1), sums))
+
+    # rows 0 .. stop - 1, of which islice skips those below the window
+    every_row = accumulate(range(1, rows.stop), roll, initial=(1,))
+    return islice(every_row, rows.start, rows.stop, rows.step)

@@ -27,9 +27,7 @@ cost too much are refused before any row is built (see
 
 from __future__ import annotations
 
-import json
 import math
-from collections import deque
 from collections.abc import Callable, Iterable, Sequence
 from enum import Enum
 from fractions import Fraction
@@ -111,16 +109,11 @@ class FrameMetrics(Record):
 
     def to_json_dict(self) -> dict:
         return {
-            "M": self.config.tokens,
-            "K": self.config.data_slots,
-            "T": self.config.users,
+            **self.config.to_json_dict(),
             "expected_successes": json_rational(self.expected_successes),
             "success_rate": json_rational(self.success_rate),
             "efficiency": json_rational(self.efficiency),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
     def to_csv(self) -> str:
         row = csv_fields(
@@ -164,7 +157,7 @@ def _numerators_by_slots(tokens: int, users: int) -> Callable[[int], int]:
     if users == 0:
         return lambda slots: 0
     width = min(tokens, users)
-    row = deque(surjection_rows(users - 1, width - 1), maxlen=1)[0]
+    (row,) = surjection_rows(range(users - 1, users), width - 1)
     weights = [math.comb(tokens, a) * n for a, n in enumerate(row, start=1)]
     below = list(accumulate(map(mul, range(1, width + 1), weights), initial=0))
     above = list(accumulate(reversed(weights), initial=0))[::-1]
@@ -187,7 +180,7 @@ def _means_by_users(tokens: int, slots: int, users: tuple[int, ...]) -> list[Fra
         coefficients = [
             math.comb(tokens, a) * min(a, slots) for a in range(1, width + 1)
         ]
-        for t, row in enumerate(surjection_rows(top - 1, width - 1), start=1):
+        for t, row in enumerate(surjection_rows(range(top), width - 1), start=1):
             if t in wanted:
                 total = sum(map(mul, coefficients, row))
                 by_users[t] = Fraction(t * total, tokens**t)
@@ -259,7 +252,7 @@ class SweepReport(Record):
     @property
     def fixed(self) -> dict:
         """The configuration fields the sweep holds constant."""
-        out = {"M": self.base.tokens, "K": self.base.data_slots, "T": self.base.users}
+        out = self.base.to_json_dict()
         del out[{"users": "T", "data_slots": "K"}[self.axis.value]]
         return out
 
@@ -271,9 +264,6 @@ class SweepReport(Record):
             "provenance": self.provenance.to_json_dict(),
             "rows": [row.to_json_dict() for row in self.rows],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
     def to_csv(self) -> str:
         lines = [CSV_HEADER]

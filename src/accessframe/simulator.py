@@ -29,7 +29,6 @@ subcommands, ``--help`` and refusals never load it.
 
 from __future__ import annotations
 
-import json
 from enum import Enum
 from fractions import Fraction
 from operator import index as as_int
@@ -42,6 +41,7 @@ from .analysis import (
     SuccessPmf,
     SystemConfig,
     csv_fields,
+    csv_float,
     json_rational,
     success_pmf,
 )
@@ -139,6 +139,17 @@ class SimParams(Record):
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
+    def to_json_dict(self) -> dict:
+        """The fields that head every simulated document: enough to draw
+        the same frames again."""
+        return {
+            **self.config.to_json_dict(),
+            "mode": self.mode.value,
+            "seed": self.seed,
+            "iterations": self.iterations,
+            "rng": RNG_ALGORITHM,
+        }
+
 
 class FrameTrace(Record):
     """One simulated frame: who picked what, who got a slot, who won."""
@@ -215,22 +226,13 @@ class EmpiricalReport(Record):
 
     def to_json_dict(self) -> dict:
         return {
-            "M": self.params.config.tokens,
-            "K": self.params.config.data_slots,
-            "T": self.params.config.users,
-            "mode": self.params.mode.value,
-            "seed": self.params.seed,
-            "iterations": self.params.iterations,
-            "rng": RNG_ALGORITHM,
+            **self.params.to_json_dict(),
             "counts": list(self.counts),
             "mass": [json_rational(p) for p in self.pmf_hat.mass],
             "mean_successes": json_rational(self.mean_successes),
             "success_rate": json_rational(self.success_rate),
             "efficiency": json_rational(self.efficiency),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
     def to_csv(self) -> str:
         header = f"{CSV_HEADER},mode,seed,iterations"
@@ -327,19 +329,10 @@ class ComparisonRecord(Record):
 
     def to_json_dict(self) -> dict:
         return {
-            "M": self.params.config.tokens,
-            "K": self.params.config.data_slots,
-            "T": self.params.config.users,
-            "mode": self.params.mode.value,
-            "seed": self.params.seed,
-            "iterations": self.params.iterations,
-            "rng": RNG_ALGORITHM,
+            **self.params.to_json_dict(),
             "tv_distance": float(self.tv_distance),
             "max_abs_mass_error": float(self.max_abs_mass_error),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
     def to_csv(self) -> str:
         p = self.params
@@ -347,7 +340,7 @@ class ComparisonRecord(Record):
             "M,K,T,mode,seed,iterations,tv_distance,max_abs_mass_error\n"
             f"{p.config.tokens},{p.config.data_slots},{p.config.users},"
             f"{p.mode.value},{p.seed},{p.iterations},"
-            f"{float(self.tv_distance):.12g},{float(self.max_abs_mass_error):.12g}\n"
+            f"{csv_float(self.tv_distance)},{csv_float(self.max_abs_mass_error)}\n"
         )
 
 

@@ -16,8 +16,8 @@ class _Stop(Exception):
 def charged_work(module: ModuleType, call: Callable[[], object]) -> tuple[float, tuple]:
     """Run ``call``, an entry point of ``module``, up to its first
     surjection roll and return the estimate it passed to
-    ``refuse_oversized`` with the (rows, cols) of the roll it then asked
-    for (empty when it asked for none).  The refusal is recorded, not
+    ``refuse_oversized`` with the (range of rows, cols) of the roll it then
+    asked for (empty when it asked for none).  The refusal is recorded, not
     raised, so an input over the limit reads the same way."""
     with (
         patch.object(module, "refuse_oversized") as refuse,

@@ -15,8 +15,9 @@ import pytest
 
 from accessframe.cli import FORMAT_ENV, main
 
-#: command line -> (exit code, sha256 of stdout).  The last two are past the
-#: interpreter's 4300-digit int -> str limit and refused by the cost model.
+#: command line -> (exit code, sha256 of stdout).  Of the last two, the first
+#: writes integers past the interpreter's 4300-digit int -> str limit and the
+#: second is refused by the cost model.
 DOCUMENTS = {
     "pmf --tokens 8 --slots 4 --users 12 --format json": (
         0, "0323e3949f97144189eb7eec6f383f486daef9686e63e48a13ea2f3fe3b69687"
