@@ -293,6 +293,9 @@ def sweep(base: SystemConfig, axis: Axis | str, values: Iterable[int]) -> SweepR
     values = tuple(values)
     configs = [base.replace(**{axis.value: v}) for v in values]
     if axis is Axis.USERS:
+        # a row without users fails anyway: fail before the roll
+        if min(values) < 1:
+            raise ValueError("success rate needs at least one user")
         means = _means_by_users(base.tokens, base.data_slots, values)
     else:
         numerator = _numerators_by_slots(base.tokens, base.users)

@@ -51,6 +51,18 @@ def brute_force_pmf(tokens: int, data_slots: int, users: int) -> list[Fraction]:
     return mass
 
 
+def brute_force_ternary_pmf(tokens: int, data_slots: int, users: int) -> list[Fraction]:
+    """Exact success pmf under ternary detection by enumerating every
+    assignment: only single-user tokens are granted, so a frame with s
+    singles has min(s, data_slots) successes whichever are granted."""
+    mass = [Fraction(0)] * (min(tokens, data_slots, users) + 1)
+    for profile, multiplicity in _active_profiles(tokens, users):
+        mass[min(profile.count(1), data_slots)] += Fraction(
+            multiplicity, tokens**users
+        )
+    return mass
+
+
 @lru_cache(maxsize=None)
 def min_size2_partition_counts(n: int) -> dict[int, int]:
     """Map k -> number of partitions of an n-element set into exactly k

@@ -220,7 +220,7 @@ def test_simulate_is_reproducible(capsys):
     assert code_a == code_b == 0
     assert out_a == out_b
     payload = json.loads(out_a)
-    assert payload["rng"] == "numpy-pcg64/v3"
+    assert payload["rng"] == "numpy-pcg64/v4"
     assert payload["seed"] == 42
     assert sum(payload["counts"]) == 2000
 

@@ -44,25 +44,25 @@ DOCUMENTS = {
         0, "5b84805054356df3c5c1778738e547b2aba998213728cefe587666fdcd98280c"
     ),
     "simulate --tokens 8 --slots 4 --users 12 --seed 42 --iterations 2000 --format json": (
-        0, "54728534c829b89372c5371e833bfa94cd8589e5334228a5262e033bf8c1e626"
+        0, "7e184e38135de8fecf259c960f4f75fdb55408b4ed1c213aa0f3e555c8105a32"
     ),
     "simulate --tokens 8 --slots 4 --users 12 --seed 42 --iterations 2000 --format csv": (
         0, "51350593104d5112041b1b6c7252137231b461c28d7896301883313953d63871"
     ),
     "simulate --tokens 8 --slots 4 --users 12 --seed 42 --iterations 2000 --mode ternary --format json": (
-        0, "b4e474e44f5de5715626ca88f91aa2f3cca805cce0c5b3ce4d19a5b632069cce"
+        0, "649e0b36520a992579413737ab8350157228d7daedc0238640ae4c87bd1fc060"
     ),
     "simulate --tokens 8 --slots 4 --users 12 --seed 42 --iterations 2000 --mode ternary --format csv": (
         0, "3408263f1281b0a0b371cbbddc150feeafeef5d2a3f87b2c4b42649fe4eabf93"
     ),
     "simulate --tokens 8 --slots 4 --users 0 --seed 42 --iterations 2000 --format json": (
-        0, "117111d2a670500a9f2129099b93af169567fe11e46024e7dc89e49f51a3c385"
+        0, "0e2187a2d8a249fd6b26493606d39e2fc03d3a67ab8de8ff13132fe20573a0b4"
     ),
     "simulate --tokens 8 --slots 4 --users 0 --seed 42 --iterations 2000 --format csv": (
         0, "a711a0b5a966143fd0d7d3227a2155ff527508e96967f2f72493d9a767f67c07"
     ),
     "compare --tokens 8 --slots 8 --users 12 --seed 42 --iterations 2000 --format json": (
-        0, "0654772e32e195df05cb535946ddac1be27037aa4246da52bcb8205720996130"
+        0, "8ba757e2cd2f14d9313617769ebe997c36bfc3587bdd43c529c5d0b1fe561d87"
     ),
     "compare --tokens 8 --slots 8 --users 12 --seed 42 --iterations 2000 --format csv": (
         0, "d8340341cd5a1081e684a5c25e3015cca9485bd75a77f929999be2ae0f91292c"

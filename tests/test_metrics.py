@@ -263,6 +263,16 @@ def test_metrics_refuse_oversized_inputs_before_building(monkeypatch):
             call()
 
 
+def test_users_sweep_from_zero_users_fails_before_building(monkeypatch):
+    def no_rows(rows, cols):
+        raise AssertionError("a row was built before the zero-user check")
+
+    monkeypatch.setattr(metrics, "surjection_rows", no_rows)
+    for values in (range(0, 600), (0, 5, 9)):
+        with pytest.raises(ValueError, match="success rate needs at least one user"):
+            sweep(SystemConfig(600, 100, 1), Axis.USERS, values)
+
+
 def test_optimal_data_slots_validation():
     with pytest.raises(ValueError):
         optimal_data_slots(0, 1, 1)

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from accessframe import simulator
 from accessframe.analysis import PmfKind, SystemConfig, success_pmf
 from accessframe.simulator import (
     RNG_ALGORITHM,
@@ -23,7 +24,20 @@ from accessframe.simulator import (
     make_rng,
     simulate_frame,
 )
-from accessframe.simulator import _BLOCK_BYTES, _block_bytes, _block_frames
+from accessframe.simulator import (
+    _BLOCK_BYTES,
+    _block_bytes,
+    _block_frames,
+    _walk_occupancy,
+    _walks,
+)
+from oracles import brute_force_ternary_pmf
+
+
+def _force_kernel(monkeypatch, walk):
+    """Make every estimate_pmf call count occupancy with the walk
+    (``walk=True``) or with bincount, whatever the cost rule picks."""
+    monkeypatch.setattr(simulator, "_walks", lambda config, iterations: walk)
 
 
 def test_sim_params_validation():
@@ -100,19 +114,21 @@ def test_frame_trace_validation():
         FrameTrace(cfg, DetectionMode.TERNARY, (1, 2, 0), (1,), 0)  # ternary grant
 
 
-def test_binary_counts_equal_ternary_when_everyone_fits():
+def test_binary_counts_equal_ternary_when_everyone_fits(monkeypatch):
     # with a slot for every token, all active tokens are granted, so the
     # binary hypergeometric draw returns the singles and, taking every
     # token, consumes no stream: both modes tally the same user choices
-    # even across blocks
-    for tokens, slots, users in [(4, 4, 6), (8, 9, 12), (3, 5, 2)]:
-        cfg = SystemConfig(tokens, slots, users)
-        for iterations in (1, 1000, 2 * _block_frames(cfg) + 3):
-            binary = estimate_pmf(SimParams(cfg, iterations=iterations, seed=5))
-            ternary = estimate_pmf(
-                SimParams(cfg, iterations=iterations, seed=5, mode="ternary")
-            )
-            assert binary.counts == ternary.counts
+    # even across blocks, with either kernel
+    for walk in (False, True):
+        _force_kernel(monkeypatch, walk)
+        for tokens, slots, users in [(4, 4, 6), (8, 9, 12), (3, 5, 2)]:
+            cfg = SystemConfig(tokens, slots, users)
+            for iterations in (1, 1000, 2 * _block_frames(cfg, walk) + 3):
+                binary = estimate_pmf(SimParams(cfg, iterations=iterations, seed=5))
+                ternary = estimate_pmf(
+                    SimParams(cfg, iterations=iterations, seed=5, mode="ternary")
+                )
+                assert binary.counts == ternary.counts
 
 
 def test_binary_grant_matches_exact_pmf_when_crowded():
@@ -135,6 +151,52 @@ def test_binary_matches_exact_pmf_with_wide_token_indices():
     cfg = SystemConfig(40000, 4, 12)
     report = estimate_pmf(SimParams(cfg, iterations=3000, seed=23))
     _assert_within_sampling_noise(success_pmf(cfg).mass, report.counts)
+
+
+def _ternary_from_binary(cfg):
+    """Exact ternary pmf from the binary pmf with a slot for every user:
+    then every active token is granted, so the successes are the
+    singles, which ternary detection caps at the data slots."""
+    singles = success_pmf(cfg.replace(data_slots=cfg.users)).mass
+    k = cfg.max_successes
+    return [*singles[:k], sum(singles[k:])]
+
+
+@pytest.mark.parametrize(
+    "tokens, slots, users, iterations, walk",
+    [(4, 2, 8, 2000, False), (4, 2, 8, 20000, True), (40000, 4, 12, 20000, True)],
+    ids=["bincount-4-8", "walk-4-8", "walk-40000-12"],
+)
+def test_both_modes_match_the_exact_laws(tokens, slots, users, iterations, walk):
+    # one case on each side of the kernel rule, and one with int64 choices
+    cfg = SystemConfig(tokens, slots, users)
+    assert _walks(cfg, iterations) is walk
+    if tokens**users <= 10**6:
+        ternary = brute_force_ternary_pmf(tokens, slots, users)
+    else:  # too many assignments to enumerate
+        ternary = _ternary_from_binary(cfg)
+    laws = {"binary": success_pmf(cfg).mass, "ternary": ternary}
+    for mode, exact in laws.items():
+        report = estimate_pmf(SimParams(cfg, iterations, seed=31, mode=mode))
+        _assert_within_sampling_noise(exact, report.counts)
+
+
+def test_ternary_from_binary_matches_enumeration():
+    for tokens, slots, users in [(3, 1, 4), (4, 2, 5), (5, 3, 4), (2, 2, 6), (6, 6, 3)]:
+        assert _ternary_from_binary(
+            SystemConfig(tokens, slots, users)
+        ) == brute_force_ternary_pmf(tokens, slots, users)
+
+
+def test_walk_counters_widen_past_int16():
+    # min(M, T) = 2^15 no longer fits an int16 counter
+    cfg = SystemConfig(1 << 15, 4, (1 << 15) + 1)
+    singles, active = _walk_occupancy(make_rng(3), cfg, 2)
+    assert singles.dtype == active.dtype == np.int64
+    assert (0 <= singles).all() and (singles <= active).all()
+    assert (active <= min(cfg.tokens, cfg.users)).all()
+    # every collision holds at least two users
+    assert (singles + 2 * (active - singles) <= cfg.users).all()
 
 
 def _assert_within_sampling_noise(exact, counts):
@@ -188,52 +250,63 @@ def test_estimate_pmf_is_bit_deterministic():
     assert other_seed.counts != first.counts
 
 
-def test_estimate_pmf_spans_block_boundaries():
+def test_estimate_pmf_spans_block_boundaries(monkeypatch):
     # totals must cover every frame even when N is not a block multiple
     cfg = SystemConfig(4, 2, 6)
-    n = _block_frames(cfg) + 17
-    report = estimate_pmf(SimParams(cfg, iterations=n, seed=3))
-    assert sum(report.counts) == n
+    for walk in (False, True):
+        _force_kernel(monkeypatch, walk)
+        n = _block_frames(cfg, walk) + 17
+        report = estimate_pmf(SimParams(cfg, iterations=n, seed=3))
+        assert sum(report.counts) == n
 
 
 def test_seeded_streams_are_pinned_to_the_rng_version():
     # any change to these counts changes the published stream, so it must
     # come with a new RNG_ALGORITHM version
-    assert RNG_ALGORITHM == "numpy-pcg64/v3"
+    assert RNG_ALGORITHM == "numpy-pcg64/v4"
     binary = SimParams(
         SystemConfig(8, 3, 10), iterations=(1 << 15) + 17, seed=20260
     )
-    assert estimate_pmf(binary).counts == (3459, 13283, 12948, 3095)
+    assert _walks(binary.config, binary.iterations)
+    assert estimate_pmf(binary).counts == (3501, 13449, 12768, 3067)
     ternary = SimParams(
         SystemConfig(6, 2, 5), iterations=1000, seed=77, mode="ternary"
     )
+    assert not _walks(ternary.config, ternary.iterations)
     assert estimate_pmf(ternary).counts == (34, 278, 688)
     # two full blocks and a partial one at a benchmark-sized frame
-    crowded = SimParams(SystemConfig(128, 4, 160), iterations=1500, seed=20261)
-    assert 1500 > 2 * _block_frames(crowded.config)
-    assert 1500 % _block_frames(crowded.config) != 0
-    assert estimate_pmf(crowded).counts == (94, 348, 581, 367, 110)
+    crowded = SimParams(SystemConfig(128, 4, 160), iterations=100_000, seed=20261)
+    assert _walks(crowded.config, 100_000)
+    assert 100_000 > 2 * _block_frames(crowded.config, walk=True)
+    assert 100_000 % _block_frames(crowded.config, walk=True) != 0
+    assert estimate_pmf(crowded).counts == (6211, 24911, 37614, 24983, 6281)
 
 
-def test_estimate_pmf_refuses_oversized_blocks_before_drawing():
+def test_estimate_pmf_refuses_oversized_blocks_before_drawing(monkeypatch):
     # blocks are cut to the byte budget, so only a frame whose own
-    # choices hold gigabytes is over the limit
+    # choices hold gigabytes is over the limit; the walk refuses the same
+    # frame for its user steps
+    assert _walks(SystemConfig(8, 4, 4 * 10**8), 100000)
     tracemalloc.start()
     try:
-        for mode in DetectionMode:
-            params = SimParams(
-                SystemConfig(8, 4, 4 * 10**8), iterations=100000, seed=1, mode=mode
-            )
-            with pytest.raises(ValueError, match="fewer users or tokens"):
-                estimate_pmf(params)
+        for walk in (False, True):
+            _force_kernel(monkeypatch, walk)
+            for mode in DetectionMode:
+                params = SimParams(
+                    SystemConfig(8, 4, 4 * 10**8), iterations=100000, seed=1, mode=mode
+                )
+                with pytest.raises(ValueError, match="fewer users or tokens"):
+                    estimate_pmf(params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+    monkeypatch.undo()
     # 20000 users fit many frames to a block
     for mode in DetectionMode:
         params = SimParams(SystemConfig(8, 4, 20000), iterations=100, seed=1, mode=mode)
-        assert _block_frames(params.config) < 100
+        assert not _walks(params.config, 100)
+        assert _block_frames(params.config, walk=False) < 100
         assert sum(estimate_pmf(params).counts) == 100
 
 
@@ -312,7 +385,7 @@ def test_empirical_distribution_matches_brute_force_tolerance():
 def test_report_json_carries_reproduction_data():
     params = SimParams(SystemConfig(8, 4, 12), iterations=2000, seed=77)
     payload = json.loads(estimate_pmf(params).to_json())
-    assert payload["rng"] == RNG_ALGORITHM == "numpy-pcg64/v3"
+    assert payload["rng"] == RNG_ALGORITHM == "numpy-pcg64/v4"
     assert payload["seed"] == 77
     assert payload["iterations"] == 2000
     assert payload["mode"] == "binary"
@@ -343,28 +416,37 @@ def test_comparison_record_serialization():
 
 @pytest.mark.parametrize(
     "tokens, slots, users",
-    [(8, 4, 12), (4, 4, 2000), (128, 4, 160), (400, 4, 10), (1, 1, 1), (1, 4, 40)],
-    ids=["8-12", "4-2000", "128-160", "400-10", "1-1-1", "1-4-40"],
+    [
+        (8, 4, 12), (4, 4, 2000), (128, 4, 160), (400, 4, 10), (1, 1, 1),
+        (1, 4, 40), (64, 8, 70), (1000, 4, 20), (40000, 4, 12),
+    ],
+    ids=[
+        "8-12", "4-2000", "128-160", "400-10", "1-1-1", "1-4-40",
+        "64-70", "1000-20", "40000-12",
+    ],
 )
-def test_block_bytes_bounds_the_traced_peak(tokens, slots, users):
+def test_block_bytes_bounds_the_traced_peak(monkeypatch, tokens, slots, users):
     # the estimate behind _BLOCK_BYTES_LIMIT must stay an upper bound on
-    # the block actually drawn, also over two full blocks and a partial
-    # one, apart from numpy's fixed-size buffers for the cast to intp (one
-    # per input operand of np.add)
+    # the block actually drawn by either kernel, also over two full blocks
+    # and a partial one, apart from numpy's fixed-size cast buffers (one
+    # per input operand of np.add; the walk casts its masks and, past 2^15
+    # tokens, its counters)
     cast_buffers = 2 * np.getbufsize() * np.dtype(np.intp).itemsize
-    for mode in DetectionMode:
-        config = SystemConfig(tokens, slots, users)
-        block = _block_frames(config)
-        # one untraced frame first, so numpy.random's first import stays
-        # out of the trace when this test runs on its own
-        estimate_pmf(SimParams(config, iterations=1, seed=5, mode=mode))
-        for frames in (2000, 2 * block + 17):
-            params = SimParams(config, iterations=frames, seed=5, mode=mode)
-            tracemalloc.start()
-            try:
-                estimate_pmf(params)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            drawn = _block_bytes(config, min(frames, block))
-            assert peak <= drawn + cast_buffers, (mode, frames)
+    config = SystemConfig(tokens, slots, users)
+    for walk in (False, True):
+        _force_kernel(monkeypatch, walk)
+        block = _block_frames(config, walk)
+        for mode in DetectionMode:
+            # one untraced frame first, so numpy.random's first import stays
+            # out of the trace when this test runs on its own
+            estimate_pmf(SimParams(config, iterations=1, seed=5, mode=mode))
+            for frames in (2000, 2 * block + 17):
+                params = SimParams(config, iterations=frames, seed=5, mode=mode)
+                tracemalloc.start()
+                try:
+                    estimate_pmf(params)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                drawn = _block_bytes(config, min(frames, block), walk)
+                assert peak <= drawn + cast_buffers, (walk, mode, frames)
