@@ -14,13 +14,11 @@ user activated it.  Two detection modes:
 :func:`estimate_pmf` tallies the per-frame success count over N
 independent frames of one seeded stream; identical parameters give a
 bit-identical report.  Empirical masses are exact multiples of 1/N.
-Both tallies read only each frame's singles and active tokens.  A block
-of frames counts them with one of two kernels, picked by the cost
-estimate of :func:`_walks`: a walk over the users that keeps the two
-counts per frame (a vector step per user, nothing per token), or a
-bincount of users per token (a cost per user and per token in every
-frame), which wins only for few frames of many users.  A block holds
-at most about :data:`_BLOCK_BYTES` of working set, with user choices
+Both tallies read only each frame's singles and active tokens, which a
+block of frames counts by a walk over the users: per frame it keeps the
+two counts, and each user's choice moves them, so a block costs a
+vector step per user and nothing per token.  A block holds about
+:data:`_BLOCK_BYTES` of per-frame vectors and as many of user choices,
 drawn as int16 when the token indices fit, so a run holds one
 cache-sized block whatever N is.
 A uniform grant of min(a, data_slots) of the a active tokens delivers a
@@ -72,69 +70,33 @@ __all__ = [
 #: numbers can be regenerated by any implementation of this algorithm.
 RNG_ALGORITHM = "numpy-pcg64/v4"
 
-#: Target working set of one bincount block inside :func:`estimate_pmf`,
-#: in the estimated bytes of :func:`_block_bytes`, so that a block stays
-#: in cache.  On the benchmark's monte-carlo operations 4 MiB ran fastest,
-#: 2 MiB close behind, 1, 8 and 16 MiB slower (``BENCH_10.json``).
+#: Working set of a block inside :func:`estimate_pmf`: its per-frame
+#: counters and grant vectors fill about this many bytes, and its users'
+#: choices are drawn in chunks of about as many, each freed before the
+#: next.  With 2 MiB of each, a benchmark op's peak RSS was 2 MB higher
+#: than with 1 MiB of each, at the same speed (``BENCH_13.json``).
 #: Fixed, so the frames per block, and with them the stream layout,
 #: depend only on the parameters.
-_BLOCK_BYTES = 4 << 20
+_BLOCK_BYTES = 1 << 20
 
-#: The walk's block holds about this many bytes of drawn user choices (a
-#: chunk, drawn and freed in turn) and as many of per-frame counters and
-#: grant vectors.  With 2 MiB of each, a benchmark op's peak RSS rose
-#: 1.9 MB over bincount's; with 1 MiB it fell 0.2 MB (``BENCH_13.json``).
-_CHUNK_BYTES = 1 << 20
-
-#: Largest working set :func:`estimate_pmf` agrees to allocate for the
-#: block it actually draws, in estimated bytes.  Blocks are cut to
-#: :data:`_BLOCK_BYTES`, so only a single frame can go over: about
-#: 3*10^8 users, whose choices alone would hold gigabytes.
-_BLOCK_BYTES_LIMIT = 3_000_000_000
-
-#: Most users the walk agrees to step through, one vector step each, in
-#: a block: the users at which one bincount frame reaches
-#: :data:`_BLOCK_BYTES_LIMIT`, so both kernels refuse the same frames.
-_WALK_STEPS_LIMIT = _BLOCK_BYTES_LIMIT // 10
+#: Most users :func:`estimate_pmf` agrees to simulate.  The walk steps
+#: through every user in each block, one vector step of a few
+#: microseconds each, so 3*10^8 users already take about half an hour
+#: per block of frames.
+_USERS_LIMIT = 300_000_000
 
 #: Token counts up to this have every token index fit in an int16, so
 #: user choices are drawn 2 bytes wide; larger token counts draw int64.
 #: The walk's counters are int16 while min(tokens, users) is below it.
 _NARROW_TOKENS = 1 << 15
 
-#: Cost model behind :func:`_walks`, in picoseconds, fitted on the
-#: calibration grid of ``BENCH_13.json`` (2-core x86-64, numpy 2.4).  A
-#: user step of the walk is five numpy calls on vectors of the block's
-#: frames; bincount widens, offsets and bins every choice and counts
-#: every token's bin.  Both draw the same choices, so the draws are left
-#: out.
-_WALK_STEP_PS = 6_000_000
-_WALK_FRAME_PS = 1_000
-_BINCOUNT_USER_PS = 2_500
-_BINCOUNT_TOKEN_PS = 2_000
-
-
-def _walks(config: SystemConfig, iterations: int) -> bool:
-    """Whether :func:`estimate_pmf` counts occupancy with the walk rather
-    than bincount: the walk costs a fixed step per user and block plus a
-    little per user and frame, bincount a little more per user and frame
-    plus a cost per token and frame.  Priced per frame of the walk's
-    first block, so the choice, and with it the stream layout, depends
-    only on the parameters."""
-    frames = min(iterations, _block_frames(config, walk=True))
-    walk = config.users * (_WALK_STEP_PS + frames * _WALK_FRAME_PS)
-    bincount = frames * (
-        config.users * _BINCOUNT_USER_PS + config.tokens * _BINCOUNT_TOKEN_PS
-    )
-    return walk <= bincount
-
 
 def _choice_bytes(config: SystemConfig) -> int:
     return 2 if config.tokens <= _NARROW_TOKENS else 8
 
 
-def _walk_frame_bytes(config: SystemConfig) -> int:
-    """The walk's working set per frame apart from its user chunk: two
+def _frame_bytes(config: SystemConfig) -> int:
+    """A block's working set per frame apart from its user chunk: two
     counters, two masks and the grant vectors (the counters' difference
     and minimum, and the int64 inputs and output of the hypergeometric
     draw)."""
@@ -142,40 +104,25 @@ def _walk_frame_bytes(config: SystemConfig) -> int:
     return 4 * counter + 2 + 32
 
 
-def _walk_rows(config: SystemConfig) -> int:
-    """Users per drawn chunk of the walk: about :data:`_CHUNK_BYTES`."""
-    frames = _block_frames(config, walk=True)
-    return max(1, _CHUNK_BYTES // (_choice_bytes(config) * frames))
+def _block_frames(config: SystemConfig) -> int:
+    """Frames per block: their per-frame vectors fill :data:`_BLOCK_BYTES`."""
+    return _BLOCK_BYTES // _frame_bytes(config)
 
 
-def _block_bytes(config: SystemConfig, frames: int, walk: bool) -> int:
+def _chunk_rows(config: SystemConfig) -> int:
+    """Users per drawn chunk: their choices for a block fill about
+    :data:`_BLOCK_BYTES`."""
+    return max(1, _BLOCK_BYTES // (_choice_bytes(config) * _block_frames(config)))
+
+
+def _block_bytes(config: SystemConfig, frames: int) -> int:
     """Estimated working set of a block of ``frames`` frames in
-    :func:`estimate_pmf`, for either kernel.  It bounds the peak that
-    tracemalloc reports, apart from numpy's fixed-size cast buffers.
-
-    * walk: one chunk of :func:`_walk_rows` users' choices plus
-      :func:`_walk_frame_bytes` per frame;
-    * bincount: per frame, 10 bytes per user (the int16 choices and
-      their intp bins; 16 with int64 choices) and 40 per token, but no
-      less than 80, for the intp counts, the singles and active-token
-      masks and the five int64 grant vectors (singles, active tokens,
-      their difference, the grant size and the successes).  The floor
-      only matters at one token, where every outcome is certain, so the
-      frames per block are those of a flat 40 bytes per token.
-    """
-    if walk:
-        rows = min(config.users, _walk_rows(config))
-        return frames * (rows * _choice_bytes(config) + _walk_frame_bytes(config))
-    token_bytes = 40 * max(config.tokens, 2)
-    return frames * ((_choice_bytes(config) + 8) * config.users + token_bytes)
-
-
-def _block_frames(config: SystemConfig, walk: bool) -> int:
-    """Frames per block: the walk's per-frame vectors fill
-    :data:`_CHUNK_BYTES`, a bincount block fills :data:`_BLOCK_BYTES`."""
-    if walk:
-        return _CHUNK_BYTES // _walk_frame_bytes(config)
-    return max(1, _BLOCK_BYTES // _block_bytes(config, 1, walk=False))
+    :func:`estimate_pmf`: one chunk of :func:`_chunk_rows` users'
+    choices plus :func:`_frame_bytes` per frame.  It bounds the peak
+    that tracemalloc reports, apart from numpy's fixed-size cast
+    buffers."""
+    rows = min(config.users, _chunk_rows(config))
+    return frames * (rows * _choice_bytes(config) + _frame_bytes(config))
 
 
 class DetectionMode(str, Enum):
@@ -319,56 +266,38 @@ class EmpiricalReport(Record):
 def estimate_pmf(params: SimParams) -> EmpiricalReport:
     """Estimate the success pmf from ``params.iterations`` frames.
 
-    Frames are drawn in blocks, and :func:`_walks` picks how a block
-    counts each frame's singles and active tokens:
+    Frames are drawn in blocks of :func:`_block_frames` frames, and a
+    block counts each frame's singles and active tokens by a walk over
+    the users: in each frame a user's uniform choice u of a token lands
+    on an empty one (u >= active: both counts grow), turns a single into
+    a collision (u < singles: singles shrink) or joins a collision.
+    Tokens are exchangeable, so numbering the singles first, then the
+    collisions, then the empty tokens gives the law of a literal choice.
 
-    * the walk keeps the two counts per frame and moves through the
-      users: in each frame a user's uniform choice u of a token lands on
-      an empty one (u >= active: both counts grow), turns a single into
-      a collision (u < singles: singles shrink) or joins a collision.
-      Tokens are exchangeable, so numbering the singles first, then the
-      collisions, then the empty tokens gives the law of a literal
-      choice.  It costs a vector step per user and block, and nothing
-      per token;
-    * bincount draws every choice of the block and counts users per
-      token, at a cost per user and per token in every frame.
-
-    A block draws its users' choices (the walk in chunks of
-    :func:`_walk_rows` users), then, in binary mode only, one
-    hypergeometric success count per frame.  In ternary mode the
-    success count is min(singles, data_slots) whichever singles are
-    granted, so no grant draws are consumed.  The kernel and the frames
-    per block depend only on the parameters, and so does the stream
-    layout.  Raises ``ValueError`` before drawing when a bincount block
-    would need more than :data:`_BLOCK_BYTES_LIMIT` bytes, or a walk
-    more than :data:`_WALK_STEPS_LIMIT` user steps per block.
+    A block draws its users' choices in chunks of :func:`_chunk_rows`
+    users, then, in binary mode only, one hypergeometric success count
+    per frame.  In ternary mode the success count is
+    min(singles, data_slots) whichever singles are granted, so no grant
+    draws are consumed.  The frames per block depend only on the
+    parameters, and so does the stream layout.  Raises ``ValueError``
+    before drawing for more than :data:`_USERS_LIMIT` users.
     """
     cfg = params.config
-    walk = _walks(cfg, params.iterations)
-    frames = _block_frames(cfg, walk)
-    if walk:
-        if cfg.users > _WALK_STEPS_LIMIT:
-            raise ValueError(
-                f"simulating {cfg.users} users on {cfg.tokens} tokens takes "
-                f"{cfg.users} sequential steps per block of frames, over the "
-                f"limit of {_WALK_STEPS_LIMIT:.3g}; use fewer users or tokens"
-            )
-    else:
-        block_bytes = _block_bytes(cfg, min(params.iterations, frames), walk)
-        if block_bytes > _BLOCK_BYTES_LIMIT:
-            raise ValueError(
-                f"simulating {cfg.users} users on {cfg.tokens} tokens needs "
-                f"about {block_bytes / 1e9:.3g} GB per block of frames, over "
-                f"the limit of {_BLOCK_BYTES_LIMIT / 1e9:.3g} GB; use fewer "
-                "users or tokens"
-            )
+    if cfg.users > _USERS_LIMIT:
+        raise ValueError(
+            f"simulating {cfg.users} users on {cfg.tokens} tokens takes "
+            f"{cfg.users} sequential steps per block of frames, over the "
+            f"limit of {_USERS_LIMIT:.3g}; use fewer users"
+        )
     import numpy as np
 
-    occupancy = _walk_occupancy if walk else _bincount_occupancy
+    frames = _block_frames(cfg)
     rng = make_rng(params.seed)
     tally = np.zeros(cfg.max_successes + 1, dtype=np.int64)
     for start in range(0, params.iterations, frames):
-        singles, active = occupancy(rng, cfg, min(frames, params.iterations - start))
+        singles, active = _walk_occupancy(
+            rng, cfg, min(frames, params.iterations - start)
+        )
         # active <= min(tokens, users), so capping the grant at
         # max_successes rather than data_slots changes nothing and fits
         # the counters' dtype
@@ -408,7 +337,7 @@ def _walk_occupancy(
     active = np.zeros_like(singles)
     lands = np.empty(frames, dtype=bool)
     collides = np.empty(frames, dtype=bool)
-    rows = _walk_rows(config)
+    rows = _chunk_rows(config)
     choice = np.int16 if config.tokens <= _NARROW_TOKENS else np.int64
     for start in range(0, config.users, rows):
         chunk = rng.integers(
@@ -424,27 +353,6 @@ def _walk_occupancy(
         # free the chunk (u views it) before the next one is drawn
         del chunk, u
     return singles, active
-
-
-def _bincount_occupancy(
-    rng: np.random.Generator, config: SystemConfig, frames: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(singles, active tokens) in each of ``frames`` fresh frames, from
-    the users per token of every frame.  The choices are freed on
-    return."""
-    import numpy as np
-
-    narrow = config.tokens <= _NARROW_TOKENS
-    choices = rng.integers(
-        0, config.tokens, size=(frames, config.users),
-        dtype=np.int16 if narrow else np.int64,
-    )
-    # widen and shift in one pass: one set of bins per frame
-    offsets = np.arange(0, frames * config.tokens, config.tokens)[:, None]
-    bins = np.add(choices, offsets, dtype=np.intp)
-    counts = np.bincount(bins.ravel(), minlength=frames * config.tokens)
-    counts = counts.reshape(frames, config.tokens)
-    return np.count_nonzero(counts == 1, axis=1), np.count_nonzero(counts, axis=1)
 
 
 class ComparisonRecord(Record):

@@ -101,26 +101,28 @@ def test_usage_failure_exits_two(capsys):
 
 def test_oversized_input_exits_one_with_hint(capsys):
     # too long a surjection roll, too large a moment sum, a simulated
-    # frame too large to hold in memory (compare's exact pmf refuses it
-    # first), and too many sweep values
+    # frame of too many users to step through (compare's exact pmf
+    # refuses it first, and its cost grows with tokens too), and too many
+    # sweep values
     simulation = ("--tokens", "8", "--slots", "4", "--users", "400000000",
                   "--seed", "1", "--iterations", "100000")
-    for argv in [
-        ("pmf", "--tokens", "64", "--slots", "8", "--users", "20000"),
-        ("pmf", "--tokens", "1000", "--slots", "100", "--users", "1000"),
-        ("pmf", "--tokens", "1000", "--slots", "500", "--users", "1000"),
-        ("simulate", *simulation),
-        ("compare", *simulation),
-        ("metrics", "--tokens", "64", "--slots", "8", "--users", "20000"),
-        ("sweep", "--tokens", "8", "--slots", "4", "--users", "12",
-         "--axis", "data-slots", "--range", "1:10000000"),
+    exact_hint = "fewer users or tokens"
+    for argv, hint in [
+        (("pmf", "--tokens", "64", "--slots", "8", "--users", "20000"), exact_hint),
+        (("pmf", "--tokens", "1000", "--slots", "100", "--users", "1000"), exact_hint),
+        (("pmf", "--tokens", "1000", "--slots", "500", "--users", "1000"), exact_hint),
+        (("simulate", *simulation), "use fewer users\n"),
+        (("compare", *simulation), exact_hint),
+        (("metrics", "--tokens", "64", "--slots", "8", "--users", "20000"), exact_hint),
+        (("sweep", "--tokens", "8", "--slots", "4", "--users", "12",
+          "--axis", "data-slots", "--range", "1:10000000"), exact_hint),
     ]:
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 2.0
         assert code == 1
         assert out == ""
-        assert err.startswith("error: ") and "fewer users or tokens" in err
+        assert err.startswith("error: ") and hint in err, argv
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])

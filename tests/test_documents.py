@@ -44,16 +44,16 @@ DOCUMENTS = {
         0, "5b84805054356df3c5c1778738e547b2aba998213728cefe587666fdcd98280c"
     ),
     "simulate --tokens 8 --slots 4 --users 12 --seed 42 --iterations 2000 --format json": (
-        0, "7e184e38135de8fecf259c960f4f75fdb55408b4ed1c213aa0f3e555c8105a32"
+        0, "890cc28c2c9a6a5f506c62b83c6dae9f06cf4028ea2ff8f86b2c0c55e0a3b0fb"
     ),
     "simulate --tokens 8 --slots 4 --users 12 --seed 42 --iterations 2000 --format csv": (
-        0, "51350593104d5112041b1b6c7252137231b461c28d7896301883313953d63871"
+        0, "768253909fdc0224ee92e41af3eac9a912f5ba9ae26ae3cbdcb3f91ea5967356"
     ),
     "simulate --tokens 8 --slots 4 --users 12 --seed 42 --iterations 2000 --mode ternary --format json": (
-        0, "649e0b36520a992579413737ab8350157228d7daedc0238640ae4c87bd1fc060"
+        0, "95dbaca4f0f8dd54a9aea9fb071e888a953d726fd2130e7253e4245e50396928"
     ),
     "simulate --tokens 8 --slots 4 --users 12 --seed 42 --iterations 2000 --mode ternary --format csv": (
-        0, "3408263f1281b0a0b371cbbddc150feeafeef5d2a3f87b2c4b42649fe4eabf93"
+        0, "9e39e29652ac03708d9f921856ead64418804346d1b1accbe91dbd157b2fa36c"
     ),
     "simulate --tokens 8 --slots 4 --users 0 --seed 42 --iterations 2000 --format json": (
         0, "0e2187a2d8a249fd6b26493606d39e2fc03d3a67ab8de8ff13132fe20573a0b4"
@@ -62,10 +62,10 @@ DOCUMENTS = {
         0, "a711a0b5a966143fd0d7d3227a2155ff527508e96967f2f72493d9a767f67c07"
     ),
     "compare --tokens 8 --slots 8 --users 12 --seed 42 --iterations 2000 --format json": (
-        0, "8ba757e2cd2f14d9313617769ebe997c36bfc3587bdd43c529c5d0b1fe561d87"
+        0, "317c3600438a99368906da19e58be7118b00ed7566920e97a63510d5622b90ea"
     ),
     "compare --tokens 8 --slots 8 --users 12 --seed 42 --iterations 2000 --format csv": (
-        0, "d8340341cd5a1081e684a5c25e3015cca9485bd75a77f929999be2ae0f91292c"
+        0, "bd20991a0702a5f6edc270e6acb7037ca24394ecd86d436d8e172acc31dcccaa"
     ),
     "optimize-k --tokens 8 --users 12 --k-max 8 --format json": (
         0, "8e532549691824173b0880d30f71ed64a4dc5449ed0d28b23a472eca6f8b78d2"

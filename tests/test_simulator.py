@@ -11,7 +11,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from accessframe import simulator
 from accessframe.analysis import PmfKind, SystemConfig, success_pmf
 from accessframe.simulator import (
     RNG_ALGORITHM,
@@ -28,16 +27,10 @@ from accessframe.simulator import (
     _BLOCK_BYTES,
     _block_bytes,
     _block_frames,
+    _chunk_rows,
     _walk_occupancy,
-    _walks,
 )
 from oracles import brute_force_ternary_pmf
-
-
-def _force_kernel(monkeypatch, walk):
-    """Make every estimate_pmf call count occupancy with the walk
-    (``walk=True``) or with bincount, whatever the cost rule picks."""
-    monkeypatch.setattr(simulator, "_walks", lambda config, iterations: walk)
 
 
 def test_sim_params_validation():
@@ -114,21 +107,19 @@ def test_frame_trace_validation():
         FrameTrace(cfg, DetectionMode.TERNARY, (1, 2, 0), (1,), 0)  # ternary grant
 
 
-def test_binary_counts_equal_ternary_when_everyone_fits(monkeypatch):
+def test_binary_counts_equal_ternary_when_everyone_fits():
     # with a slot for every token, all active tokens are granted, so the
     # binary hypergeometric draw returns the singles and, taking every
     # token, consumes no stream: both modes tally the same user choices
-    # even across blocks, with either kernel
-    for walk in (False, True):
-        _force_kernel(monkeypatch, walk)
-        for tokens, slots, users in [(4, 4, 6), (8, 9, 12), (3, 5, 2)]:
-            cfg = SystemConfig(tokens, slots, users)
-            for iterations in (1, 1000, 2 * _block_frames(cfg, walk) + 3):
-                binary = estimate_pmf(SimParams(cfg, iterations=iterations, seed=5))
-                ternary = estimate_pmf(
-                    SimParams(cfg, iterations=iterations, seed=5, mode="ternary")
-                )
-                assert binary.counts == ternary.counts
+    # even across blocks
+    for tokens, slots, users in [(4, 4, 6), (8, 9, 12), (3, 5, 2)]:
+        cfg = SystemConfig(tokens, slots, users)
+        for iterations in (1, 1000, 2 * _block_frames(cfg) + 3):
+            binary = estimate_pmf(SimParams(cfg, iterations=iterations, seed=5))
+            ternary = estimate_pmf(
+                SimParams(cfg, iterations=iterations, seed=5, mode="ternary")
+            )
+            assert binary.counts == ternary.counts
 
 
 def test_binary_grant_matches_exact_pmf_when_crowded():
@@ -163,14 +154,13 @@ def _ternary_from_binary(cfg):
 
 
 @pytest.mark.parametrize(
-    "tokens, slots, users, iterations, walk",
-    [(4, 2, 8, 2000, False), (4, 2, 8, 20000, True), (40000, 4, 12, 20000, True)],
-    ids=["bincount-4-8", "walk-4-8", "walk-40000-12"],
+    "tokens, slots, users, iterations",
+    [(4, 2, 8, 2000), (4, 2, 8, 60000), (40000, 4, 12, 20000)],
+    ids=["4-8-one-block", "4-8-three-blocks", "40000-12"],
 )
-def test_both_modes_match_the_exact_laws(tokens, slots, users, iterations, walk):
-    # one case on each side of the kernel rule, and one with int64 choices
+def test_both_modes_match_the_exact_laws(tokens, slots, users, iterations):
+    # within one block, across blocks, and with int64 choices
     cfg = SystemConfig(tokens, slots, users)
-    assert _walks(cfg, iterations) is walk
     if tokens**users <= 10**6:
         ternary = brute_force_ternary_pmf(tokens, slots, users)
     else:  # too many assignments to enumerate
@@ -250,14 +240,12 @@ def test_estimate_pmf_is_bit_deterministic():
     assert other_seed.counts != first.counts
 
 
-def test_estimate_pmf_spans_block_boundaries(monkeypatch):
+def test_estimate_pmf_spans_block_boundaries():
     # totals must cover every frame even when N is not a block multiple
     cfg = SystemConfig(4, 2, 6)
-    for walk in (False, True):
-        _force_kernel(monkeypatch, walk)
-        n = _block_frames(cfg, walk) + 17
-        report = estimate_pmf(SimParams(cfg, iterations=n, seed=3))
-        assert sum(report.counts) == n
+    n = _block_frames(cfg) + 17
+    report = estimate_pmf(SimParams(cfg, iterations=n, seed=3))
+    assert sum(report.counts) == n
 
 
 def test_seeded_streams_are_pinned_to_the_rng_version():
@@ -267,46 +255,37 @@ def test_seeded_streams_are_pinned_to_the_rng_version():
     binary = SimParams(
         SystemConfig(8, 3, 10), iterations=(1 << 15) + 17, seed=20260
     )
-    assert _walks(binary.config, binary.iterations)
     assert estimate_pmf(binary).counts == (3501, 13449, 12768, 3067)
     ternary = SimParams(
         SystemConfig(6, 2, 5), iterations=1000, seed=77, mode="ternary"
     )
-    assert not _walks(ternary.config, ternary.iterations)
-    assert estimate_pmf(ternary).counts == (34, 278, 688)
+    assert estimate_pmf(ternary).counts == (40, 261, 699)
     # two full blocks and a partial one at a benchmark-sized frame
     crowded = SimParams(SystemConfig(128, 4, 160), iterations=100_000, seed=20261)
-    assert _walks(crowded.config, 100_000)
-    assert 100_000 > 2 * _block_frames(crowded.config, walk=True)
-    assert 100_000 % _block_frames(crowded.config, walk=True) != 0
+    assert 100_000 > 2 * _block_frames(crowded.config)
+    assert 100_000 % _block_frames(crowded.config) != 0
     assert estimate_pmf(crowded).counts == (6211, 24911, 37614, 24983, 6281)
 
 
-def test_estimate_pmf_refuses_oversized_blocks_before_drawing(monkeypatch):
-    # blocks are cut to the byte budget, so only a frame whose own
-    # choices hold gigabytes is over the limit; the walk refuses the same
-    # frame for its user steps
-    assert _walks(SystemConfig(8, 4, 4 * 10**8), 100000)
+def test_estimate_pmf_refuses_oversized_blocks_before_drawing():
+    # blocks are cut to the byte budget, so only a frame of so many users
+    # that stepping through them takes hours is over the limit
     tracemalloc.start()
     try:
-        for walk in (False, True):
-            _force_kernel(monkeypatch, walk)
-            for mode in DetectionMode:
-                params = SimParams(
-                    SystemConfig(8, 4, 4 * 10**8), iterations=100000, seed=1, mode=mode
-                )
-                with pytest.raises(ValueError, match="fewer users or tokens"):
-                    estimate_pmf(params)
+        for mode in DetectionMode:
+            params = SimParams(
+                SystemConfig(8, 4, 4 * 10**8), iterations=100000, seed=1, mode=mode
+            )
+            with pytest.raises(ValueError, match="fewer users"):
+                estimate_pmf(params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
-    monkeypatch.undo()
-    # 20000 users fit many frames to a block
+    # 20000 users fit, drawn in many chunks
     for mode in DetectionMode:
         params = SimParams(SystemConfig(8, 4, 20000), iterations=100, seed=1, mode=mode)
-        assert not _walks(params.config, 100)
-        assert _block_frames(params.config, walk=False) < 100
+        assert _chunk_rows(params.config) < 100
         assert sum(estimate_pmf(params).counts) == 100
 
 
@@ -425,28 +404,25 @@ def test_comparison_record_serialization():
         "64-70", "1000-20", "40000-12",
     ],
 )
-def test_block_bytes_bounds_the_traced_peak(monkeypatch, tokens, slots, users):
-    # the estimate behind _BLOCK_BYTES_LIMIT must stay an upper bound on
-    # the block actually drawn by either kernel, also over two full blocks
-    # and a partial one, apart from numpy's fixed-size cast buffers (one
-    # per input operand of np.add; the walk casts its masks and, past 2^15
-    # tokens, its counters)
+def test_block_bytes_bounds_the_traced_peak(tokens, slots, users):
+    # the block estimate must stay an upper bound on the block actually
+    # drawn, also over two full blocks and a partial one, apart from
+    # numpy's fixed-size cast buffers (the walk casts its masks and,
+    # past 2^15 tokens, its counters)
     cast_buffers = 2 * np.getbufsize() * np.dtype(np.intp).itemsize
     config = SystemConfig(tokens, slots, users)
-    for walk in (False, True):
-        _force_kernel(monkeypatch, walk)
-        block = _block_frames(config, walk)
-        for mode in DetectionMode:
-            # one untraced frame first, so numpy.random's first import stays
-            # out of the trace when this test runs on its own
-            estimate_pmf(SimParams(config, iterations=1, seed=5, mode=mode))
-            for frames in (2000, 2 * block + 17):
-                params = SimParams(config, iterations=frames, seed=5, mode=mode)
-                tracemalloc.start()
-                try:
-                    estimate_pmf(params)
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-                drawn = _block_bytes(config, min(frames, block), walk)
-                assert peak <= drawn + cast_buffers, (walk, mode, frames)
+    block = _block_frames(config)
+    for mode in DetectionMode:
+        # one untraced frame first, so numpy.random's first import stays
+        # out of the trace when this test runs on its own
+        estimate_pmf(SimParams(config, iterations=1, seed=5, mode=mode))
+        for frames in (2000, 2 * block + 17):
+            params = SimParams(config, iterations=frames, seed=5, mode=mode)
+            tracemalloc.start()
+            try:
+                estimate_pmf(params)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            drawn = _block_bytes(config, min(frames, block))
+            assert peak <= drawn + cast_buffers, (mode, frames)
