@@ -170,21 +170,18 @@ def _numerators_by_slots(tokens: int, users: int) -> Callable[[int], int]:
 
 
 def _means_by_users(tokens: int, slots: int, users: tuple[int, ...]) -> list[Fraction]:
-    """E[S] for each of ``users`` at fixed tokens and data slots, from one
-    pass over the surjection rows up to the largest user count."""
-    top = max(users)
-    by_users = {0: Fraction(0)}
-    if top >= 1:
-        width = min(tokens, top)
-        wanted = set(users)
-        coefficients = [
-            math.comb(tokens, a) * min(a, slots) for a in range(1, width + 1)
-        ]
-        for t, row in enumerate(surjection_rows(range(top), width - 1), start=1):
-            if t in wanted:
-                total = sum(map(mul, coefficients, row))
-                by_users[t] = Fraction(t * total, tokens**t)
-    return [by_users[t] for t in users]
+    """E[S] for each of ``users``, strictly increasing from 1 or more, at
+    fixed tokens and data slots, from one pass over the surjection rows
+    from the first user count to the last."""
+    lo, top = users[0], users[-1]
+    width = min(tokens, top)
+    wanted = set(users)
+    coefficients = [math.comb(tokens, a) * min(a, slots) for a in range(1, width + 1)]
+    means = []
+    for t, row in enumerate(surjection_rows(range(lo - 1, top), width - 1), start=lo):
+        if t in wanted:
+            means.append(Fraction(t * sum(map(mul, coefficients, row)), tokens**t))
+    return means
 
 
 def expected_successes(config: SystemConfig) -> Fraction:
@@ -226,6 +223,11 @@ def frame_metrics(config: SystemConfig) -> FrameMetrics:
     return _frame_metrics(config, expected_successes(config))
 
 
+def _check_increasing(values: tuple[int, ...]) -> None:
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError("axis values must be strictly increasing")
+
+
 class SweepReport(Record):
     """Metrics tabulated along one axis, everything else held fixed.
 
@@ -243,8 +245,7 @@ class SweepReport(Record):
     def __post_init__(self) -> None:
         if len(self.rows) != len(self.values):
             raise ValueError("one row per axis value")
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
-            raise ValueError("axis values must be strictly increasing")
+        _check_increasing(self.values)
         for value, row in zip(self.values, self.rows):
             if getattr(row.config, self.axis.value) != value:
                 raise ValueError("row does not match its axis value")
@@ -292,10 +293,11 @@ def sweep(base: SystemConfig, axis: Axis | str, values: Iterable[int]) -> SweepR
         _refuse_oversized(base.tokens, (base.users,), len(values))
     values = tuple(values)
     configs = [base.replace(**{axis.value: v}) for v in values]
+    # rows without users or out of order fail anyway: fail before the roll
+    if min(c.users for c in configs) < 1:
+        raise ValueError("success rate needs at least one user")
+    _check_increasing(values)
     if axis is Axis.USERS:
-        # a row without users fails anyway: fail before the roll
-        if min(values) < 1:
-            raise ValueError("success rate needs at least one user")
         means = _means_by_users(base.tokens, base.data_slots, values)
     else:
         numerator = _numerators_by_slots(base.tokens, base.users)

@@ -17,10 +17,10 @@ bit-identical report.  Empirical masses are exact multiples of 1/N.
 Both tallies read only each frame's singles and active tokens, which a
 block of frames counts by a walk over the users: per frame it keeps the
 two counts, and each user's choice moves them, so a block costs a
-vector step per user and nothing per token.  A block holds about
-:data:`_BLOCK_BYTES` of per-frame vectors and as many of user choices,
-drawn as int16 when the token indices fit, so a run holds one
-cache-sized block whatever N is.
+vector step per user and nothing per token.  :func:`_layout` sizes a
+block to about :data:`_BLOCK_BYTES` of per-frame vectors and as many of
+user choices, drawn as int16 when the token indices fit, so a run holds
+one cache-sized block whatever N is.
 A uniform grant of min(a, data_slots) of the a active tokens delivers a
 hypergeometric number of the frame's singles, so the binary tally draws
 that count directly; :func:`simulate_frame` draws the granted tokens
@@ -36,7 +36,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from operator import index as as_int
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .analysis import (
     CSV_HEADER,
@@ -75,54 +75,51 @@ RNG_ALGORITHM = "numpy-pcg64/v4"
 #: choices are drawn in chunks of about as many, each freed before the
 #: next.  With 2 MiB of each, a benchmark op's peak RSS was 2 MB higher
 #: than with 1 MiB of each, at the same speed (``BENCH_13.json``).
-#: Fixed, so the frames per block, and with them the stream layout,
-#: depend only on the parameters.
 _BLOCK_BYTES = 1 << 20
-
-#: Most users :func:`estimate_pmf` agrees to simulate.  The walk steps
-#: through every user in each block, one vector step of a few
-#: microseconds each, so 3*10^8 users already take about half an hour
-#: per block of frames.
-_USERS_LIMIT = 300_000_000
 
 #: Token counts up to this have every token index fit in an int16, so
 #: user choices are drawn 2 bytes wide; larger token counts draw int64.
 #: The walk's counters are int16 while min(tokens, users) is below it.
 _NARROW_TOKENS = 1 << 15
 
+#: The walk costs about 5 ns per user-frame in full blocks, and each
+#: user's step through a block about 6 us of numpy calls more, the cost
+#: of ``_STEP_FRAMES`` user-frames (2-core Xeon: 5.1-5.3 ns at M=8
+#: T=2000 and M=128 T=20000, 6.9 us at M=8 T=20000 with 100 frames).
+#: :func:`estimate_pmf` walks at most ``_WALK_LIMIT``, about half an hour.
+_STEP_FRAMES = 1200
+_WALK_LIMIT = 360_000_000_000
 
-def _choice_bytes(config: SystemConfig) -> int:
-    return 2 if config.tokens <= _NARROW_TOKENS else 8
+
+class _Layout(NamedTuple):
+    """How :func:`estimate_pmf` cuts a run into blocks and draws it."""
+
+    frames: int  # frames per block
+    rows: int  # users per drawn chunk of choices
+    choice: int  # bytes per drawn token choice
+    counter: int  # bytes per walk counter
 
 
-def _frame_bytes(config: SystemConfig) -> int:
-    """A block's working set per frame apart from its user chunk: two
-    counters, two masks and the grant vectors (the counters' difference
-    and minimum, and the int64 inputs and output of the hypergeometric
-    draw)."""
+def _layout(config: SystemConfig) -> _Layout:
+    """The block layout, and with it the stream layout: a function of
+    the tokens and users alone.  A block's per-frame vectors fill
+    :data:`_BLOCK_BYTES`: two counters, their difference and minimum,
+    two masks and the int64 inputs and output of the hypergeometric
+    draw.  A chunk of users' choices fills about as many bytes."""
+    choice = 2 if config.tokens <= _NARROW_TOKENS else 8
     counter = 2 if min(config.tokens, config.users) < _NARROW_TOKENS else 8
-    return 4 * counter + 2 + 32
-
-
-def _block_frames(config: SystemConfig) -> int:
-    """Frames per block: their per-frame vectors fill :data:`_BLOCK_BYTES`."""
-    return _BLOCK_BYTES // _frame_bytes(config)
-
-
-def _chunk_rows(config: SystemConfig) -> int:
-    """Users per drawn chunk: their choices for a block fill about
-    :data:`_BLOCK_BYTES`."""
-    return max(1, _BLOCK_BYTES // (_choice_bytes(config) * _block_frames(config)))
+    frames = _BLOCK_BYTES // (4 * counter + 2 + 32)
+    return _Layout(frames, max(1, _BLOCK_BYTES // (choice * frames)), choice, counter)
 
 
 def _block_bytes(config: SystemConfig, frames: int) -> int:
     """Estimated working set of a block of ``frames`` frames in
-    :func:`estimate_pmf`: one chunk of :func:`_chunk_rows` users'
-    choices plus :func:`_frame_bytes` per frame.  It bounds the peak
-    that tracemalloc reports, apart from numpy's fixed-size cast
-    buffers."""
-    rows = min(config.users, _chunk_rows(config))
-    return frames * (rows * _choice_bytes(config) + _frame_bytes(config))
+    :func:`estimate_pmf`: one chunk of users' choices plus the per-frame
+    vectors that :func:`_layout` budgets.  It bounds the peak that
+    tracemalloc reports, apart from numpy's fixed-size cast buffers."""
+    layout = _layout(config)
+    rows = min(config.users, layout.rows)
+    return frames * (rows * layout.choice + 4 * layout.counter + 2 + 32)
 
 
 class DetectionMode(str, Enum):
@@ -266,37 +263,40 @@ class EmpiricalReport(Record):
 def estimate_pmf(params: SimParams) -> EmpiricalReport:
     """Estimate the success pmf from ``params.iterations`` frames.
 
-    Frames are drawn in blocks of :func:`_block_frames` frames, and a
-    block counts each frame's singles and active tokens by a walk over
-    the users: in each frame a user's uniform choice u of a token lands
-    on an empty one (u >= active: both counts grow), turns a single into
-    a collision (u < singles: singles shrink) or joins a collision.
-    Tokens are exchangeable, so numbering the singles first, then the
-    collisions, then the empty tokens gives the law of a literal choice.
+    Frames are drawn in blocks of :func:`_layout`, and a block counts
+    each frame's singles and active tokens by a walk over the users: in
+    each frame a user's uniform choice u of a token lands on an empty
+    one (u >= active: both counts grow), turns a single into a collision
+    (u < singles: singles shrink) or joins a collision.  Tokens are
+    exchangeable, so numbering the singles first, then the collisions,
+    then the empty tokens gives the law of a literal choice.
 
-    A block draws its users' choices in chunks of :func:`_chunk_rows`
-    users, then, in binary mode only, one hypergeometric success count
-    per frame.  In ternary mode the success count is
-    min(singles, data_slots) whichever singles are granted, so no grant
-    draws are consumed.  The frames per block depend only on the
-    parameters, and so does the stream layout.  Raises ``ValueError``
-    before drawing for more than :data:`_USERS_LIMIT` users.
+    A block draws its users' choices in chunks of the layout's rows,
+    then, in binary mode only, one hypergeometric success count per
+    frame.  In ternary mode the success count is min(singles,
+    data_slots) whichever singles are granted, so no grant draws are
+    consumed.  The layout depends only on the tokens and users, never on
+    N.  Raises ``ValueError`` before drawing when the walk's user-frames,
+    plus :data:`_STEP_FRAMES` per user and block, pass
+    :data:`_WALK_LIMIT`.
     """
     cfg = params.config
-    if cfg.users > _USERS_LIMIT:
+    layout = _layout(cfg)
+    blocks = -(-params.iterations // layout.frames)
+    price = cfg.users * (params.iterations + blocks * _STEP_FRAMES)
+    if price > _WALK_LIMIT:
         raise ValueError(
-            f"simulating {cfg.users} users on {cfg.tokens} tokens takes "
-            f"{cfg.users} sequential steps per block of frames, over the "
-            f"limit of {_USERS_LIMIT:.3g}; use fewer users"
+            f"simulating {params.iterations} frames of {cfg.users} users walks "
+            f"{price:.3g} user-frames, over the limit of {_WALK_LIMIT:.3g}; "
+            "use fewer users or frames"
         )
     import numpy as np
 
-    frames = _block_frames(cfg)
     rng = make_rng(params.seed)
     tally = np.zeros(cfg.max_successes + 1, dtype=np.int64)
-    for start in range(0, params.iterations, frames):
+    for start in range(0, params.iterations, layout.frames):
         singles, active = _walk_occupancy(
-            rng, cfg, min(frames, params.iterations - start)
+            rng, cfg, min(layout.frames, params.iterations - start)
         )
         # active <= min(tokens, users), so capping the grant at
         # max_successes rather than data_slots changes nothing and fits
@@ -332,17 +332,15 @@ def _walk_occupancy(
     the walk of :func:`estimate_pmf`, one vector step per user."""
     import numpy as np
 
-    narrow = min(config.tokens, config.users) < _NARROW_TOKENS
-    singles = np.zeros(frames, dtype=np.int16 if narrow else np.int64)
+    layout = _layout(config)
+    singles = np.zeros(frames, dtype=f"i{layout.counter}")
     active = np.zeros_like(singles)
     lands = np.empty(frames, dtype=bool)
     collides = np.empty(frames, dtype=bool)
-    rows = _chunk_rows(config)
-    choice = np.int16 if config.tokens <= _NARROW_TOKENS else np.int64
-    for start in range(0, config.users, rows):
+    for start in range(0, config.users, layout.rows):
         chunk = rng.integers(
-            0, config.tokens, size=(min(rows, config.users - start), frames),
-            dtype=choice,
+            0, config.tokens, size=(min(layout.rows, config.users - start), frames),
+            dtype=f"i{layout.choice}",
         )
         for u in chunk:
             np.greater_equal(u, active, out=lands)

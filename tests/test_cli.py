@@ -100,18 +100,21 @@ def test_usage_failure_exits_two(capsys):
 
 
 def test_oversized_input_exits_one_with_hint(capsys):
-    # too long a surjection roll, too large a moment sum, a simulated
-    # frame of too many users to step through (compare's exact pmf
-    # refuses it first, and its cost grows with tokens too), and too many
-    # sweep values
+    # too long a surjection roll, too large a moment sum, a walk over too
+    # many user-frames (compare's exact pmf refuses it first, and its
+    # cost grows with tokens too), and too many sweep values
     simulation = ("--tokens", "8", "--slots", "4", "--users", "400000000",
                   "--seed", "1", "--iterations", "100000")
     exact_hint = "fewer users or tokens"
+    walk_hint = "use fewer users or frames\n"
     for argv, hint in [
         (("pmf", "--tokens", "64", "--slots", "8", "--users", "20000"), exact_hint),
         (("pmf", "--tokens", "1000", "--slots", "100", "--users", "1000"), exact_hint),
         (("pmf", "--tokens", "1000", "--slots", "500", "--users", "1000"), exact_hint),
-        (("simulate", *simulation), "use fewer users\n"),
+        (("simulate", *simulation), walk_hint),
+        # at the default frame count: about 40 hours of walking
+        (("simulate", "--tokens", "8", "--slots", "4", "--users", "300000000",
+          "--seed", "1"), walk_hint),
         (("compare", *simulation), exact_hint),
         (("metrics", "--tokens", "64", "--slots", "8", "--users", "20000"), exact_hint),
         (("sweep", "--tokens", "8", "--slots", "4", "--users", "12",
@@ -500,6 +503,10 @@ PROBED = {
                         "False 1", SIMULATION),
     "simulate": (("simulate", "--tokens", "4", "--slots", "2", "--users", "6",
                   "--seed", "1", "--iterations", "100"), "True 0", SIMULATION),
+    # refused by the walk's price before any frame is drawn
+    "simulate-refused": (("simulate", "--tokens", "8", "--slots", "4",
+                          "--users", "300000000", "--seed", "1"),
+                         "False 1", SIMULATION),
 }
 
 

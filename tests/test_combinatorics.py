@@ -162,10 +162,11 @@ def test_entry_estimates_cover_their_rolls(tokens, slots, users, by_users, by_sl
     # every entry point prices the roll it asks for, so the roll needs no
     # guard of its own
     config = SystemConfig(tokens, slots, users)
+    users_sweep = (metrics, lambda: metrics.sweep(config, "users", sorted(by_users)))
     entries = [
         (analysis, lambda: analysis.success_pmf(config)),
         (metrics, lambda: metrics.expected_successes(config)),
-        (metrics, lambda: metrics.sweep(config, "users", sorted(by_users))),
+        users_sweep,
     ]
     if users >= 1:
         entries += [
@@ -178,3 +179,6 @@ def test_entry_estimates_cover_their_rolls(tokens, slots, users, by_users, by_sl
         if roll:
             rows, cols = roll
             assert work >= exact_work(rows[-1], cols), roll
+    # and asks for no row below the one its first user count reads
+    _, (rows, _cols) = charged_work(*users_sweep)
+    assert rows.start == min(by_users) - 1

@@ -273,6 +273,20 @@ def test_users_sweep_from_zero_users_fails_before_building(monkeypatch):
             sweep(SystemConfig(600, 100, 1), Axis.USERS, values)
 
 
+def test_unordered_sweep_fails_before_building(monkeypatch):
+    def no_rows(rows, cols):
+        raise AssertionError("a row was built before the order check")
+
+    monkeypatch.setattr(metrics, "surjection_rows", no_rows)
+    for base, axis in [
+        (SystemConfig(600, 100, 1), Axis.USERS),
+        (SystemConfig(600, 100, 600), Axis.DATA_SLOTS),
+    ]:
+        for values in (range(600, 0, -1), (1, 5, 5, 9)):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                sweep(base, axis, values)
+
+
 def test_optimal_data_slots_validation():
     with pytest.raises(ValueError):
         optimal_data_slots(0, 1, 1)

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from accessframe import simulator
 from accessframe.analysis import PmfKind, SystemConfig, success_pmf
 from accessframe.simulator import (
     RNG_ALGORITHM,
@@ -26,8 +27,7 @@ from accessframe.simulator import (
 from accessframe.simulator import (
     _BLOCK_BYTES,
     _block_bytes,
-    _block_frames,
-    _chunk_rows,
+    _layout,
     _walk_occupancy,
 )
 from oracles import brute_force_ternary_pmf
@@ -114,7 +114,7 @@ def test_binary_counts_equal_ternary_when_everyone_fits():
     # even across blocks
     for tokens, slots, users in [(4, 4, 6), (8, 9, 12), (3, 5, 2)]:
         cfg = SystemConfig(tokens, slots, users)
-        for iterations in (1, 1000, 2 * _block_frames(cfg) + 3):
+        for iterations in (1, 1000, 2 * _layout(cfg).frames + 3):
             binary = estimate_pmf(SimParams(cfg, iterations=iterations, seed=5))
             ternary = estimate_pmf(
                 SimParams(cfg, iterations=iterations, seed=5, mode="ternary")
@@ -243,7 +243,7 @@ def test_estimate_pmf_is_bit_deterministic():
 def test_estimate_pmf_spans_block_boundaries():
     # totals must cover every frame even when N is not a block multiple
     cfg = SystemConfig(4, 2, 6)
-    n = _block_frames(cfg) + 17
+    n = _layout(cfg).frames + 17
     report = estimate_pmf(SimParams(cfg, iterations=n, seed=3))
     assert sum(report.counts) == n
 
@@ -262,14 +262,46 @@ def test_seeded_streams_are_pinned_to_the_rng_version():
     assert estimate_pmf(ternary).counts == (40, 261, 699)
     # two full blocks and a partial one at a benchmark-sized frame
     crowded = SimParams(SystemConfig(128, 4, 160), iterations=100_000, seed=20261)
-    assert 100_000 > 2 * _block_frames(crowded.config)
-    assert 100_000 % _block_frames(crowded.config) != 0
+    assert 100_000 > 2 * _layout(crowded.config).frames
+    assert 100_000 % _layout(crowded.config).frames != 0
     assert estimate_pmf(crowded).counts == (6211, 24911, 37614, 24983, 6281)
 
 
+@pytest.mark.parametrize(
+    "tokens, users, layout",
+    [
+        (128, 160, (24966, 21, 2, 2)),
+        (1 << 15, (1 << 15) + 1, (15887, 33, 2, 8)),  # int64 counters
+        (40000, 12, (24966, 5, 8, 2)),  # int64 choices
+        (40000, 40000, (15887, 8, 8, 8)),
+    ],
+    ids=["int16", "int64-counters", "int64-choices", "int64"],
+)
+def test_block_layout_is_pinned_to_the_rng_version(monkeypatch, tokens, users, layout):
+    # frames per block, users per chunk and the bytes of a choice and of
+    # a counter cut the stream, so a change to any of them changes the
+    # published stream and must come with a new RNG_ALGORITHM version
+    assert RNG_ALGORITHM == "numpy-pcg64/v4"
+    for slots in (1, 4, 10**6):
+        assert _layout(SystemConfig(tokens, slots, users)) == layout
+    # a run of any length is cut into blocks of the layout's frames
+    walked = []
+
+    def walk(rng, config, frames):
+        walked.append(frames)
+        return np.zeros(frames, dtype=np.int64), np.zeros(frames, dtype=np.int64)
+
+    monkeypatch.setattr(simulator, "_walk_occupancy", walk)
+    block = layout[0]
+    for blocks in ([1], [block], [block, block, 17]):
+        walked.clear()
+        estimate_pmf(SimParams(SystemConfig(tokens, 4, users), sum(blocks), seed=0))
+        assert walked == blocks
+
+
 def test_estimate_pmf_refuses_oversized_blocks_before_drawing():
-    # blocks are cut to the byte budget, so only a frame of so many users
-    # that stepping through them takes hours is over the limit
+    # blocks are cut to the byte budget, so only a walk over so many
+    # user-frames that it takes hours is over the limit
     tracemalloc.start()
     try:
         for mode in DetectionMode:
@@ -285,7 +317,7 @@ def test_estimate_pmf_refuses_oversized_blocks_before_drawing():
     # 20000 users fit, drawn in many chunks
     for mode in DetectionMode:
         params = SimParams(SystemConfig(8, 4, 20000), iterations=100, seed=1, mode=mode)
-        assert _chunk_rows(params.config) < 100
+        assert _layout(params.config).rows < 100
         assert sum(estimate_pmf(params).counts) == 100
 
 
@@ -411,7 +443,7 @@ def test_block_bytes_bounds_the_traced_peak(tokens, slots, users):
     # past 2^15 tokens, its counters)
     cast_buffers = 2 * np.getbufsize() * np.dtype(np.intp).itemsize
     config = SystemConfig(tokens, slots, users)
-    block = _block_frames(config)
+    block = _layout(config).frames
     for mode in DetectionMode:
         # one untraced frame first, so numpy.random's first import stays
         # out of the trace when this test runs on its own
