@@ -28,7 +28,6 @@ _EXPORTS = {
     "metrics": (
         "Axis",
         "FrameMetrics",
-        "Provenance",
         "SweepReport",
         "efficiency",
         "expected_successes",

@@ -342,9 +342,6 @@ class SuccessPmf(Record):
         """Expected number of successes per frame."""
         return sum(d * p for d, p in enumerate(self.mass))
 
-    def as_floats(self) -> tuple[float, ...]:
-        return tuple(float(p) for p in self.mass)
-
     def total(self):
         return sum(self.mass)
 

@@ -40,7 +40,6 @@ from .combinatorics import exact_work, refuse_oversized, surjection_rows
 
 __all__ = [
     "Axis",
-    "Provenance",
     "FrameMetrics",
     "SweepReport",
     "CSV_HEADER",
@@ -59,53 +58,31 @@ class Axis(str, Enum):
     DATA_SLOTS = "data_slots"
 
 
-class Provenance(Record):
-    """How a table's numbers were produced.
-
-    ``kind`` is "exact" for the closed-form path and "simulated" for
-    Monte Carlo estimates, which must also carry their seed and
-    iteration count so the table can be regenerated bit for bit.
-    """
-
-    kind: str
-    seed: int | None = None
-    iterations: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("exact", "simulated"):
-            raise ValueError(f"kind must be 'exact' or 'simulated', got {self.kind!r}")
-        if self.kind == "simulated":
-            if self.seed is None or self.iterations is None:
-                raise ValueError("simulated provenance requires seed and iterations")
-        elif self.seed is not None or self.iterations is not None:
-            raise ValueError("exact provenance carries no seed or iterations")
-
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "seed": self.seed, "iterations": self.iterations}
-
-
 class FrameMetrics(Record):
-    """Exact per-frame summary for one configuration.
-
-    The three fields are redundant by construction and that redundancy
-    is checked: expected = rate * users = efficiency * frame_slots.
-    """
+    """Exact per-frame summary for one configuration: the mean success
+    count E, with the success rate E / users and the efficiency
+    E / frame_slots read off it.  Needs at least one user, and E can be
+    neither negative nor above min(data_slots, users)."""
 
     config: SystemConfig
     expected_successes: Fraction
-    success_rate: Fraction
-    efficiency: Fraction
 
     def __post_init__(self) -> None:
-        if not 0 <= self.success_rate <= 1:
-            raise ValueError(f"success rate {self.success_rate} outside [0, 1]")
-        k = self.config.data_slots
-        if not 0 <= self.efficiency <= Fraction(k, k + 1):
-            raise ValueError(f"efficiency {self.efficiency} outside [0, K/(K+1)]")
-        if self.expected_successes != self.success_rate * self.config.users:
-            raise ValueError("expected_successes != success_rate * users")
-        if self.expected_successes != self.efficiency * self.config.frame_slots:
-            raise ValueError("expected_successes != efficiency * frame_slots")
+        if self.config.users < 1:
+            raise ValueError("success rate needs at least one user")
+        most = min(self.config.data_slots, self.config.users)
+        if not 0 <= self.expected_successes <= most:
+            raise ValueError(
+                f"expected successes {self.expected_successes} outside [0, {most}]"
+            )
+
+    @property
+    def success_rate(self) -> Fraction:
+        return self.expected_successes / self.config.users
+
+    @property
+    def efficiency(self) -> Fraction:
+        return self.expected_successes / self.config.frame_slots
 
     def to_json_dict(self) -> dict:
         return {
@@ -207,20 +184,9 @@ def efficiency(config: SystemConfig) -> Fraction:
     return expected_successes(config) / config.frame_slots
 
 
-def _frame_metrics(config: SystemConfig, expected: Fraction) -> FrameMetrics:
-    if config.users < 1:
-        raise ValueError("success rate needs at least one user")
-    return FrameMetrics(
-        config=config,
-        expected_successes=expected,
-        success_rate=expected / config.users,
-        efficiency=expected / config.frame_slots,
-    )
-
-
 def frame_metrics(config: SystemConfig) -> FrameMetrics:
     """All three summaries from a single evaluation of the mean."""
-    return _frame_metrics(config, expected_successes(config))
+    return FrameMetrics(config, expected_successes(config))
 
 
 def _check_increasing(values: tuple[int, ...]) -> None:
@@ -232,23 +198,22 @@ class SweepReport(Record):
     """Metrics tabulated along one axis, everything else held fixed.
 
     ``base`` supplies the fixed fields; the swept field's value in
-    ``base`` is irrelevant (each row replaces it).  Rows come sorted by
-    the axis, one per value, duplicates rejected.
+    ``base`` is irrelevant (each row replaces it), and ``values`` reads
+    it off the rows.  Rows come sorted by the axis, one per value,
+    duplicates rejected.
     """
 
     base: SystemConfig
     axis: Axis
-    values: tuple[int, ...]
     rows: tuple[FrameMetrics, ...]
-    provenance: Provenance
 
     def __post_init__(self) -> None:
-        if len(self.rows) != len(self.values):
-            raise ValueError("one row per axis value")
         _check_increasing(self.values)
-        for value, row in zip(self.values, self.rows):
-            if getattr(row.config, self.axis.value) != value:
-                raise ValueError("row does not match its axis value")
+
+    @property
+    def values(self) -> tuple[int, ...]:
+        """The swept field's value in each row."""
+        return tuple(getattr(row.config, self.axis.value) for row in self.rows)
 
     @property
     def fixed(self) -> dict:
@@ -262,7 +227,8 @@ class SweepReport(Record):
             "fixed": self.fixed,
             "axis": self.axis.value,
             "values": list(self.values),
-            "provenance": self.provenance.to_json_dict(),
+            # only the exact path fills a sweep; kept for schema stability
+            "provenance": {"kind": "exact", "seed": None, "iterations": None},
             "rows": [row.to_json_dict() for row in self.rows],
         }
 
@@ -303,14 +269,8 @@ def sweep(base: SystemConfig, axis: Axis | str, values: Iterable[int]) -> SweepR
         numerator = _numerators_by_slots(base.tokens, base.users)
         assignments = base.tokens**base.users
         means = [Fraction(numerator(k), assignments) for k in values]
-    rows = tuple(_frame_metrics(c, e) for c, e in zip(configs, means))
-    return SweepReport(
-        base=base,
-        axis=axis,
-        values=values,
-        rows=rows,
-        provenance=Provenance(kind="exact"),
-    )
+    rows = tuple(FrameMetrics(c, e) for c, e in zip(configs, means))
+    return SweepReport(base=base, axis=axis, rows=rows)
 
 
 def optimal_data_slots(tokens: int, users: int, k_max: int) -> tuple[int, Fraction]:

@@ -167,13 +167,13 @@ class SimParams(Record):
 
 
 class FrameTrace(Record):
-    """One simulated frame: who picked what, who got a slot, who won."""
+    """One simulated frame: how many users picked each token and which
+    tokens got a slot; the winners are the granted single-user tokens."""
 
     config: SystemConfig
     mode: DetectionMode
     counts: tuple[int, ...]
     selected: tuple[int, ...]
-    successes: int
 
     def __post_init__(self) -> None:
         if len(self.counts) != self.config.tokens:
@@ -189,9 +189,11 @@ class FrameTrace(Record):
             raise ValueError("selection must fill min(eligible, data_slots) slots")
         if not set(self.selected) <= set(eligible):
             raise ValueError("selected tokens must be eligible")
-        won = sum(1 for tok in self.selected if self.counts[tok] == 1)
-        if self.successes != won:
-            raise ValueError("successes must count selected single-user tokens")
+
+    @property
+    def successes(self) -> int:
+        """Granted tokens that exactly one user picked."""
+        return sum(1 for tok in self.selected if self.counts[tok] == 1)
 
 
 def simulate_frame(
@@ -220,7 +222,6 @@ def simulate_frame(
         mode=mode,
         counts=tuple(int(n) for n in counts),
         selected=tuple(sorted(int(tok) for tok in selected)),
-        successes=int(np.count_nonzero(counts[selected] == 1)),
     )
 
 
@@ -228,16 +229,33 @@ class EmpiricalReport(Record):
     """Tallied outcome of a simulation run.
 
     ``counts[d]`` is the raw number of frames with d successes; the
-    empirical pmf is counts/iterations held as exact fractions.  The
-    rate is None when there are no users to succeed.
+    empirical pmf, the mean and the metrics on it are read off the
+    counts as exact fractions of the iterations.  The rate is None when
+    there are no users to succeed.
     """
 
     params: SimParams
-    pmf_hat: SuccessPmf
     counts: tuple[int, ...]
-    mean_successes: Fraction
-    success_rate: Fraction | None
-    efficiency: Fraction
+
+    @property
+    def pmf_hat(self) -> SuccessPmf:
+        n = self.params.iterations
+        mass = tuple(Fraction(c, n) for c in self.counts)
+        return SuccessPmf(config=self.params.config, mass=mass, kind=PmfKind.EMPIRICAL)
+
+    @property
+    def mean_successes(self) -> Fraction:
+        total = sum(d * c for d, c in enumerate(self.counts))
+        return Fraction(total, self.params.iterations)
+
+    @property
+    def success_rate(self) -> Fraction | None:
+        users = self.params.config.users
+        return self.mean_successes / users if users else None
+
+    @property
+    def efficiency(self) -> Fraction:
+        return self.mean_successes / self.params.config.frame_slots
 
     def to_json_dict(self) -> dict:
         return {
@@ -276,11 +294,17 @@ def estimate_pmf(params: SimParams) -> EmpiricalReport:
     frame.  In ternary mode the success count is min(singles,
     data_slots) whichever singles are granted, so no grant draws are
     consumed.  The layout depends only on the tokens and users, never on
-    N.  Raises ``ValueError`` before drawing when the walk's user-frames,
-    plus :data:`_STEP_FRAMES` per user and block, pass
+    N.  Raises ``ValueError`` before drawing when there are more than
+    2**63 tokens, the most an int64 draw can index, or when the walk's
+    user-frames, plus :data:`_STEP_FRAMES` per user and block, pass
     :data:`_WALK_LIMIT`.
     """
     cfg = params.config
+    if cfg.tokens > 2**63:
+        raise ValueError(
+            f"simulating {cfg.tokens} tokens is over the limit of 2**63 tokens, "
+            "the most a 64-bit draw can index; use fewer tokens"
+        )
     layout = _layout(cfg)
     blocks = -(-params.iterations // layout.frames)
     price = cfg.users * (params.iterations + blocks * _STEP_FRAMES)
@@ -311,18 +335,7 @@ def estimate_pmf(params: SimParams) -> EmpiricalReport:
         # free this block's vectors before the next block draws
         del singles, active, successes
 
-    raw = tuple(int(n) for n in tally)
-    n = params.iterations
-    mass = tuple(Fraction(c, n) for c in raw)
-    mean = Fraction(sum(d * c for d, c in enumerate(raw)), n)
-    return EmpiricalReport(
-        params=params,
-        pmf_hat=SuccessPmf(config=cfg, mass=mass, kind=PmfKind.EMPIRICAL),
-        counts=raw,
-        mean_successes=mean,
-        success_rate=mean / cfg.users if cfg.users else None,
-        efficiency=mean / cfg.frame_slots,
-    )
+    return EmpiricalReport(params=params, counts=tuple(int(n) for n in tally))
 
 
 def _walk_occupancy(

@@ -99,14 +99,22 @@ def test_usage_failure_exits_two(capsys):
     assert "--seed" in captured.err
 
 
+#: A simulation over 2**63 + 1 tokens, one more than numpy's int64 draw
+#: can index; every other size is small.
+TOO_MANY_TOKENS = ("--tokens", str(2**63 + 1), "--slots", "1", "--users", "3",
+                   "--seed", "1", "--iterations", "10")
+
+
 def test_oversized_input_exits_one_with_hint(capsys):
     # too long a surjection roll, too large a moment sum, a walk over too
     # many user-frames (compare's exact pmf refuses it first, and its
-    # cost grows with tokens too), and too many sweep values
+    # cost grows with tokens too), more tokens than an int64 draw can
+    # index, and too many sweep values
     simulation = ("--tokens", "8", "--slots", "4", "--users", "400000000",
                   "--seed", "1", "--iterations", "100000")
     exact_hint = "fewer users or tokens"
     walk_hint = "use fewer users or frames\n"
+    token_hint = "over the limit of 2**63 tokens"
     for argv, hint in [
         (("pmf", "--tokens", "64", "--slots", "8", "--users", "20000"), exact_hint),
         (("pmf", "--tokens", "1000", "--slots", "100", "--users", "1000"), exact_hint),
@@ -116,6 +124,8 @@ def test_oversized_input_exits_one_with_hint(capsys):
         (("simulate", "--tokens", "8", "--slots", "4", "--users", "300000000",
           "--seed", "1"), walk_hint),
         (("compare", *simulation), exact_hint),
+        (("simulate", *TOO_MANY_TOKENS), token_hint),
+        (("compare", *TOO_MANY_TOKENS), token_hint),
         (("metrics", "--tokens", "64", "--slots", "8", "--users", "20000"), exact_hint),
         (("sweep", "--tokens", "8", "--slots", "4", "--users", "12",
           "--axis", "data-slots", "--range", "1:10000000"), exact_hint),
@@ -126,6 +136,14 @@ def test_oversized_input_exits_one_with_hint(capsys):
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and hint in err, argv
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_simulation_draws_from_up_to_2_63_tokens(capsys, command):
+    code, out, err = run_cli(capsys, command, "--tokens", str(2**63),
+                             *TOO_MANY_TOKENS[2:], "--format", "csv")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1].startswith(f"{2**63},1,3,")
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])
@@ -507,6 +525,9 @@ PROBED = {
     "simulate-refused": (("simulate", "--tokens", "8", "--slots", "4",
                           "--users", "300000000", "--seed", "1"),
                          "False 1", SIMULATION),
+    # refused for its token count before any frame is drawn
+    "simulate-too-many-tokens": (("simulate", *TOO_MANY_TOKENS), "False 1", SIMULATION),
+    "compare-too-many-tokens": (("compare", *TOO_MANY_TOKENS), "False 1", SIMULATION),
 }
 
 

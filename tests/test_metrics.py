@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import accessframe
 from accessframe import metrics
 from accessframe.analysis import SystemConfig, success_pmf
 from accessframe.metrics import (
     CSV_HEADER,
     Axis,
     FrameMetrics,
-    Provenance,
     efficiency,
     expected_successes,
     frame_metrics,
@@ -65,19 +65,13 @@ def test_frame_metrics_consistency():
 def test_frame_metrics_rejects_inconsistent_fields():
     cfg = SystemConfig(2, 1, 2)
     with pytest.raises(ValueError):
-        FrameMetrics(
-            config=cfg,
-            expected_successes=Fraction(1, 2),
-            success_rate=Fraction(1, 2),  # should be 1/4
-            efficiency=Fraction(1, 4),
-        )
+        FrameMetrics(config=cfg, expected_successes=Fraction(3))  # rate above 1
     with pytest.raises(ValueError):
-        FrameMetrics(
-            config=cfg,
-            expected_successes=Fraction(3),
-            success_rate=Fraction(3, 2),  # rate above 1
-            efficiency=Fraction(3, 2),
-        )
+        FrameMetrics(config=cfg, expected_successes=Fraction(3, 2))  # above K
+    with pytest.raises(ValueError):
+        FrameMetrics(config=cfg, expected_successes=Fraction(-1, 2))
+    with pytest.raises(ValueError):
+        FrameMetrics(config=cfg.replace(users=0), expected_successes=Fraction(0))
 
 
 def test_frame_metrics_csv():
@@ -112,7 +106,6 @@ def test_sweep_rows_follow_axis_values():
     assert report.values == (1, 4, 7)
     assert [row.config.users for row in report.rows] == [1, 4, 7]
     assert all(row.config.tokens == 4 for row in report.rows)
-    assert report.provenance == Provenance(kind="exact")
 
 
 def test_sweep_rejects_bad_values():
@@ -297,11 +290,15 @@ def test_optimal_data_slots_validation():
 
 
 def test_provenance_validation():
-    Provenance(kind="exact")
-    Provenance(kind="simulated", seed=1, iterations=10)
-    with pytest.raises(ValueError):
-        Provenance(kind="guessed")
-    with pytest.raises(ValueError):
-        Provenance(kind="simulated", seed=1)  # missing iterations
-    with pytest.raises(ValueError):
-        Provenance(kind="exact", seed=1, iterations=10)
+    # Only exact sweeps exist, so every sweep JSON carries the one exact
+    # provenance object, kept for schema stability.
+    assert not hasattr(accessframe, "Provenance")
+    assert not hasattr(metrics, "Provenance")
+    base = SystemConfig(3, 2, 4)
+    for axis, values in ((Axis.USERS, (1, 5)), (Axis.DATA_SLOTS, (1, 3))):
+        payload = json.loads(sweep(base, axis, values).to_json())
+        assert payload["provenance"] == {
+            "kind": "exact",
+            "seed": None,
+            "iterations": None,
+        }

@@ -3,6 +3,7 @@ repr, validation and ``replace``."""
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 import re
 from fractions import Fraction
@@ -13,7 +14,6 @@ from accessframe.analysis import SuccessPmf, SystemConfig, success_pmf
 from accessframe.metrics import (
     Axis,
     FrameMetrics,
-    Provenance,
     SweepReport,
     frame_metrics,
     sweep,
@@ -33,63 +33,66 @@ from accessframe.simulator import (
 CONFIG = SystemConfig(8, 4, 12)
 PARAMS = SimParams(CONFIG, iterations=200, seed=3)
 
-#: Each record class, its fields in order, and a function that builds a
-#: fresh instance with the same field values every time it is called.
+#: Each record class, its fields in order, a function that builds a fresh
+#: instance with the same field values every time it is called, and the
+#: read-only attributes it derives from its fields.
 RECORDS = {
     "SystemConfig": (
         SystemConfig,
         ("tokens", "data_slots", "users"),
         lambda: SystemConfig(8, 4, 12),
+        ("max_successes", "frame_slots"),
     ),
     "SuccessPmf": (
         SuccessPmf,
         ("config", "mass", "kind"),
         lambda: success_pmf(CONFIG),
-    ),
-    "Provenance": (
-        Provenance,
-        ("kind", "seed", "iterations"),
-        lambda: Provenance("simulated", seed=1, iterations=10),
+        (),
     ),
     "FrameMetrics": (
         FrameMetrics,
-        ("config", "expected_successes", "success_rate", "efficiency"),
+        ("config", "expected_successes"),
         lambda: frame_metrics(CONFIG),
+        ("success_rate", "efficiency"),
     ),
     "SweepReport": (
         SweepReport,
-        ("base", "axis", "values", "rows", "provenance"),
+        ("base", "axis", "rows"),
         lambda: sweep(CONFIG, Axis.USERS, [1, 2, 3]),
+        ("values", "fixed"),
     ),
     "SimParams": (
         SimParams,
         ("config", "iterations", "seed", "mode"),
         lambda: SimParams(CONFIG, iterations=200, seed=3),
+        (),
     ),
     "FrameTrace": (
         FrameTrace,
-        ("config", "mode", "counts", "selected", "successes"),
+        ("config", "mode", "counts", "selected"),
         lambda: simulate_frame(CONFIG, DetectionMode.BINARY, make_rng(9)),
+        ("successes",),
     ),
     "EmpiricalReport": (
         EmpiricalReport,
-        ("params", "pmf_hat", "counts", "mean_successes", "success_rate",
-         "efficiency"),
+        ("params", "counts"),
         lambda: estimate_pmf(PARAMS),
+        ("pmf_hat", "mean_successes", "success_rate", "efficiency"),
     ),
     "ComparisonRecord": (
         ComparisonRecord,
         ("params", "tv_distance", "max_abs_mass_error"),
         lambda: compare_to_exact(estimate_pmf(PARAMS)),
+        (),
     ),
 }
 
 
 @pytest.mark.parametrize("name", list(RECORDS))
 def test_record_fields_cannot_be_assigned_or_deleted(name):
-    _, fields, build = RECORDS[name]
+    _, fields, build, derived = RECORDS[name]
     record = build()
-    for field in fields:
+    for field in (*fields, *derived):
         with pytest.raises(AttributeError, match="cannot assign"):
             setattr(record, field, None)
         with pytest.raises(AttributeError, match="cannot delete"):
@@ -100,7 +103,7 @@ def test_record_fields_cannot_be_assigned_or_deleted(name):
 
 @pytest.mark.parametrize("name", list(RECORDS))
 def test_equal_records_compare_and_hash_equal(name):
-    cls, fields, build = RECORDS[name]
+    cls, fields, build, _ = RECORDS[name]
     first, second = build(), build()
     assert first is not second
     assert first == second and not first != second
@@ -114,7 +117,7 @@ def test_equal_records_compare_and_hash_equal(name):
 
 @pytest.mark.parametrize("name", list(RECORDS))
 def test_record_repr_names_every_field(name):
-    cls, fields, build = RECORDS[name]
+    cls, fields, build, _ = RECORDS[name]
     record = build()
     text = repr(record)
     assert text.startswith(f"{cls.__name__}(")
@@ -128,12 +131,14 @@ def test_record_repr_names_every_field(name):
 def test_records_differ_on_any_field():
     assert SystemConfig(8, 4, 12) != SystemConfig(8, 4, 13)
     assert SystemConfig(8, 4, 12).replace(users=13) == SystemConfig(8, 4, 13)
-    assert Provenance("exact") != Provenance("simulated", 1, 10)
+    assert FrameMetrics(CONFIG, Fraction(1)) != FrameMetrics(CONFIG, Fraction(2))
 
 
 def test_records_take_fields_by_position_name_or_default():
     assert SystemConfig(8, 4, 12) == SystemConfig(users=12, tokens=8, data_slots=4)
-    assert Provenance("exact") == Provenance(kind="exact", seed=None, iterations=None)
+    assert SimParams(CONFIG, 10, 1) == SimParams(
+        config=CONFIG, iterations=10, seed=1, mode=DetectionMode.BINARY
+    )
     assert SimParams(CONFIG, 10, 1).mode is DetectionMode.BINARY
     with pytest.raises(TypeError, match="needs a value for 'users'"):
         SystemConfig(8, 4)
@@ -161,18 +166,17 @@ def test_post_init_normalises_fields():
         SystemConfig(8.0, 4, 12)
 
 
-def _metrics(expected, rate, eff, config=SystemConfig(2, 1, 2)):
-    return lambda: FrameMetrics(config, expected, rate, eff)
+def _metrics(expected, config=SystemConfig(2, 1, 2)):
+    return lambda: FrameMetrics(config, expected)
 
 
-def _sweep(values, rows):
-    base = SystemConfig(8, 4, 12)
-    return lambda: SweepReport(base, Axis.USERS, values, rows, Provenance("exact"))
+def _sweep(rows):
+    return lambda: SweepReport(SystemConfig(8, 4, 12), Axis.USERS, rows)
 
 
-def _trace(counts, selected, successes):
+def _trace(counts, selected):
     config, mode = SystemConfig(3, 1, 3), DetectionMode.BINARY
-    return lambda: FrameTrace(config, mode, counts, selected, successes)
+    return lambda: FrameTrace(config, mode, counts, selected)
 
 
 _ROW_1 = frame_metrics(SystemConfig(8, 4, 1))
@@ -186,31 +190,71 @@ _ROW_2 = frame_metrics(SystemConfig(8, 4, 2))
         (lambda: SystemConfig(8, 0, 12), "data_slots must be >= 1"),
         (lambda: SystemConfig(8, 4, -1), "users must be >= 0"),
         (lambda: CONFIG.replace(users=-1), "users must be >= 0"),
-        (lambda: Provenance("guessed"), "kind must be"),
-        (lambda: Provenance("simulated", seed=1), "requires seed and iterations"),
-        (lambda: Provenance("exact", seed=1), "carries no seed"),
-        (_metrics(Fraction(3), Fraction(3, 2), Fraction(1)), "outside [0, 1]"),
-        (_metrics(Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)),
-         "outside [0, K/(K+1)]"),
-        (_metrics(Fraction(1, 2), Fraction(1, 8), Fraction(1, 4)),
-         "!= success_rate"),
-        (_metrics(Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)),
-         "!= efficiency"),
-        (_sweep((1, 2), (_ROW_1,)), "one row per axis value"),
-        (_sweep((2, 1), (_ROW_2, _ROW_1)), "strictly increasing"),
-        (_sweep((1, 3), (_ROW_1, _ROW_2)), "does not match"),
+        # a rate above 1, E < 0, E > T, E > K, and no users
+        (_metrics(Fraction(3)), "outside [0, 1]"),
+        (_metrics(Fraction(-1, 4)), "-1/4 outside [0, 1]"),
+        (_metrics(Fraction(3), SystemConfig(2, 4, 2)), "outside [0, 2]"),
+        (_metrics(Fraction(3, 2), SystemConfig(4, 1, 3)), "3/2 outside [0, 1]"),
+        (_metrics(Fraction(0), SystemConfig(2, 1, 0)), "at least one user"),
+        (_sweep((_ROW_2, _ROW_1)), "strictly increasing"),
+        (_sweep((_ROW_1, _ROW_1)), "must be strictly increasing"),
         (lambda: SimParams(CONFIG, iterations=0, seed=1), "iterations must be"),
         (lambda: SimParams(CONFIG, iterations=1, seed=2**64), "unsigned 64-bit"),
-        (_trace((3, 0), (0,), 0), "one count per token"),
-        (_trace((2, 0, 0), (0,), 0), "sum to the number of users"),
-        (_trace((1, 1, 1), (0, 1), 2), "min(eligible, data_slots)"),
-        (_trace((2, 1, 0), (2,), 0), "must be eligible"),
-        (_trace((2, 1, 0), (0,), 1), "successes must count"),
+        (_trace((3, 0), (0,)), "one count per token"),
+        (_trace((2, 0, 0), (0,)), "sum to the number of users"),
+        (_trace((1, 1, 1), (0, 1)), "min(eligible, data_slots)"),
+        (_trace((2, 1, 0), (2,)), "must be eligible"),
     ],
 )
 def test_post_init_rejections_still_fire(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         build()
+
+
+def test_frame_metrics_accept_every_mean_from_zero_to_min_k_t():
+    for config in (SystemConfig(2, 1, 2), SystemConfig(2, 4, 2), SystemConfig(4, 1, 3)):
+        most = min(config.data_slots, config.users)
+        for expected in (Fraction(0), Fraction(most, 3), Fraction(most)):
+            metrics = FrameMetrics(config, expected)
+            assert metrics.success_rate == expected / config.users
+            assert metrics.efficiency == expected / config.frame_slots
+
+
+#: Configurations on which the derived attributes are pinned, and the
+#: sha256 of their values as written by :func:`_derived_lines`, recorded
+#: when each of them was still a stored, cross-checked field.
+DERIVED_GRID = [
+    SystemConfig(m, k, t) for m in (1, 3, 8) for k in (1, 4) for t in (0, 1, 5, 12)
+]
+DERIVED_SHA256 = "5fec1fa5e0664b5cdeedb2868e6e47ad7ef7917a1ec0f3012a9ee7161920caca"
+
+
+def _derived_lines():
+    for config in DERIVED_GRID:
+        if config.users:
+            metrics = frame_metrics(config)
+            yield f"{config} metrics {metrics.success_rate!r} {metrics.efficiency!r}"
+            for axis, values in (("users", (1, 3, 7)), ("data_slots", (1, 2, 5))):
+                report = sweep(config, axis, values)
+                assert report.values == values
+                yield f"{config} {axis} {report.values}"
+        for mode in ("binary", "ternary"):
+            report = estimate_pmf(SimParams(config, iterations=300, seed=7, mode=mode))
+            mean, counts = report.mean_successes, report.counts
+            assert report.pmf_hat.mass == tuple(Fraction(c, 300) for c in counts)
+            assert mean == Fraction(sum(d * c for d, c in enumerate(counts)), 300)
+            yield (
+                f"{config} {mode} {report.pmf_hat.config == config} "
+                f"{report.pmf_hat.kind.value} {report.pmf_hat.mass} {mean!r} "
+                f"{report.success_rate!r} {report.efficiency!r}"
+            )
+            trace = simulate_frame(config, mode, make_rng(11))
+            yield f"{config} {mode} trace {trace.successes}"
+
+
+def test_derived_attributes_keep_their_values():
+    text = "\n".join(_derived_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == DERIVED_SHA256
 
 
 def test_sweep_builds_its_rows_through_replace(monkeypatch):

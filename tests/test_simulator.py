@@ -93,18 +93,18 @@ def test_ternary_never_grants_a_collided_token():
 
 def test_frame_trace_validation():
     cfg = SystemConfig(3, 1, 3)
-    good = FrameTrace(cfg, DetectionMode.BINARY, (1, 2, 0), (0,), 1)
+    good = FrameTrace(cfg, DetectionMode.BINARY, (1, 2, 0), (0,))
     assert good.successes == 1
+    # a granted collision wastes its slot
+    assert FrameTrace(cfg, DetectionMode.BINARY, (1, 2, 0), (1,)).successes == 0
     with pytest.raises(ValueError):
-        FrameTrace(cfg, DetectionMode.BINARY, (1, 1, 0), (0,), 1)  # counts sum short
+        FrameTrace(cfg, DetectionMode.BINARY, (1, 1, 0), (0,))  # counts sum short
     with pytest.raises(ValueError):
-        FrameTrace(cfg, DetectionMode.BINARY, (1, 2, 0), (2,), 0)  # idle token granted
+        FrameTrace(cfg, DetectionMode.BINARY, (1, 2, 0), (2,))  # idle token granted
     with pytest.raises(ValueError):
-        FrameTrace(cfg, DetectionMode.BINARY, (1, 2, 0), (), 0)  # slot left idle
+        FrameTrace(cfg, DetectionMode.BINARY, (1, 2, 0), ())  # slot left idle
     with pytest.raises(ValueError):
-        FrameTrace(cfg, DetectionMode.BINARY, (1, 2, 0), (1,), 1)  # collision counted
-    with pytest.raises(ValueError):
-        FrameTrace(cfg, DetectionMode.TERNARY, (1, 2, 0), (1,), 0)  # ternary grant
+        FrameTrace(cfg, DetectionMode.TERNARY, (1, 2, 0), (1,))  # ternary grant
 
 
 def test_binary_counts_equal_ternary_when_everyone_fits():
