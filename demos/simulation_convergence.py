@@ -2,9 +2,10 @@
 Seeded simulation against the exact answer
 ==========================================
 
-Runs the Monte Carlo side of the library: single frame traces, blocked
-estimation of the success distribution, and the total variation
-distance to the exact reference as the frame count grows.
+Runs the Monte Carlo side of the library: single frame traces,
+estimation of the success distribution by walking all frames together
+through their occupancy states, and the total variation distance to the
+exact reference as the frame count grows.
 """
 
 from accessframe import (

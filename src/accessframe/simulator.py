@@ -14,17 +14,20 @@ user activated it.  Two detection modes:
 :func:`estimate_pmf` tallies the per-frame success count over N
 independent frames of one seeded stream; identical parameters give a
 bit-identical report.  Empirical masses are exact multiples of 1/N.
-Both tallies read only each frame's singles and active tokens, which a
-block of frames counts by a walk over the users: per frame it keeps the
-two counts, and each user's choice moves them, so a block costs a
-vector step per user and nothing per token.  :func:`_layout` sizes a
-block to about :data:`_BLOCK_BYTES` of per-frame vectors and as many of
-user choices, drawn as int16 when the token indices fit, so a run holds
-one cache-sized block whatever N is.
+Both tallies read only each frame's singles and active tokens, and a
+frame's (singles, active) state is a Markov chain over its users.
+Frames are independent copies of that chain, so instead of walking each
+frame the simulator keeps how many frames sit in each occupied state and
+splits each state's frames among its three moves by one multinomial
+draw per user (exact lumping of i.i.d. chains).  A run costs a step per
+user and occupied state, whatever N is, and stops once every frame has
+reached the absorbing state where every token collided.  The gain needs
+many frames per occupied state: with few, as at T ~ M in the thousands,
+a step per state costs more than the per-frame walk it replaced.
 A uniform grant of min(a, data_slots) of the a active tokens delivers a
-hypergeometric number of the frame's singles, so the binary tally draws
-that count directly; :func:`simulate_frame` draws the granted tokens
-themselves.
+hypergeometric number of the frame's singles, so the binary tally splits
+each state's frames by one multinomial draw over that law;
+:func:`simulate_frame` draws the granted tokens themselves.
 
 numpy is imported at the first draw, inside :func:`make_rng`,
 :func:`simulate_frame` and :func:`estimate_pmf`, so the exact
@@ -36,7 +39,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from operator import index as as_int
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .analysis import (
     CSV_HEADER,
@@ -68,58 +71,21 @@ __all__ = [
 
 #: Generator behind every simulation; recorded in each report so the
 #: numbers can be regenerated by any implementation of this algorithm.
-RNG_ALGORITHM = "numpy-pcg64/v4"
+RNG_ALGORITHM = "numpy-pcg64/v5"
 
-#: Working set of a block inside :func:`estimate_pmf`: its per-frame
-#: counters and grant vectors fill about this many bytes, and its users'
-#: choices are drawn in chunks of about as many, each freed before the
-#: next.  With 2 MiB of each, a benchmark op's peak RSS was 2 MB higher
-#: than with 1 MiB of each, at the same speed (``BENCH_13.json``).
-_BLOCK_BYTES = 1 << 20
+#: Each user's step through the occupied states costs about 33 us of
+#: numpy calls, the cost of ``_STEP_STATES`` state-steps, plus 280-420 ns
+#: per occupied state (2-core Xeon: 33-37 us per step at M=32768 T=32769
+#: with 2 frames; 280 ns per state at M=T=1000 with 10^4 frames, 420 ns
+#: at M=128 T=160 with 2*10^5 frames, where binomials are dearer).  A
+#: walk is priced in state-steps, users times ``_STEP_STATES`` plus the
+#: frames or the reachable states, whichever is fewer, and refused past
+#: ``_WALK_LIMIT``, about half an hour.
+_STEP_STATES = 100
+_WALK_LIMIT = 6_000_000_000
 
-#: Token counts up to this have every token index fit in an int16, so
-#: user choices are drawn 2 bytes wide; larger token counts draw int64.
-#: The walk's counters are int16 while min(tokens, users) is below it.
-_NARROW_TOKENS = 1 << 15
-
-#: The walk costs about 5 ns per user-frame in full blocks, and each
-#: user's step through a block about 6 us of numpy calls more, the cost
-#: of ``_STEP_FRAMES`` user-frames (2-core Xeon: 5.1-5.3 ns at M=8
-#: T=2000 and M=128 T=20000, 6.9 us at M=8 T=20000 with 100 frames).
-#: :func:`estimate_pmf` walks at most ``_WALK_LIMIT``, about half an hour.
-_STEP_FRAMES = 1200
-_WALK_LIMIT = 360_000_000_000
-
-
-class _Layout(NamedTuple):
-    """How :func:`estimate_pmf` cuts a run into blocks and draws it."""
-
-    frames: int  # frames per block
-    rows: int  # users per drawn chunk of choices
-    choice: int  # bytes per drawn token choice
-    counter: int  # bytes per walk counter
-
-
-def _layout(config: SystemConfig) -> _Layout:
-    """The block layout, and with it the stream layout: a function of
-    the tokens and users alone.  A block's per-frame vectors fill
-    :data:`_BLOCK_BYTES`: two counters, their difference and minimum,
-    two masks and the int64 inputs and output of the hypergeometric
-    draw.  A chunk of users' choices fills about as many bytes."""
-    choice = 2 if config.tokens <= _NARROW_TOKENS else 8
-    counter = 2 if min(config.tokens, config.users) < _NARROW_TOKENS else 8
-    frames = _BLOCK_BYTES // (4 * counter + 2 + 32)
-    return _Layout(frames, max(1, _BLOCK_BYTES // (choice * frames)), choice, counter)
-
-
-def _block_bytes(config: SystemConfig, frames: int) -> int:
-    """Estimated working set of a block of ``frames`` frames in
-    :func:`estimate_pmf`: one chunk of users' choices plus the per-frame
-    vectors that :func:`_layout` budgets.  It bounds the peak that
-    tracemalloc reports, apart from numpy's fixed-size cast buffers."""
-    layout = _layout(config)
-    rows = min(config.users, layout.rows)
-    return frames * (rows * layout.choice + 4 * layout.counter + 2 + 32)
+#: Float cells in one chunk of the binary grant's hypergeometric rows.
+_GRANT_CELLS = 1 << 15
 
 
 class DetectionMode(str, Enum):
@@ -237,6 +203,22 @@ class EmpiricalReport(Record):
     params: SimParams
     counts: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "counts", tuple(as_int(c) for c in self.counts))
+        outcomes = self.params.config.max_successes + 1
+        if len(self.counts) != outcomes:
+            raise ValueError(
+                f"counts must hold max_successes + 1 = {outcomes} entries, "
+                f"got {len(self.counts)}"
+            )
+        if min(self.counts) < 0:
+            raise ValueError("counts must be non-negative")
+        if sum(self.counts) != self.params.iterations:
+            raise ValueError(
+                f"counts must sum to the {self.params.iterations} iterations, "
+                f"got {sum(self.counts)}"
+            )
+
     @property
     def pmf_hat(self) -> SuccessPmf:
         n = self.params.iterations
@@ -281,23 +263,19 @@ class EmpiricalReport(Record):
 def estimate_pmf(params: SimParams) -> EmpiricalReport:
     """Estimate the success pmf from ``params.iterations`` frames.
 
-    Frames are drawn in blocks of :func:`_layout`, and a block counts
-    each frame's singles and active tokens by a walk over the users: in
-    each frame a user's uniform choice u of a token lands on an empty
-    one (u >= active: both counts grow), turns a single into a collision
-    (u < singles: singles shrink) or joins a collision.  Tokens are
-    exchangeable, so numbering the singles first, then the collisions,
-    then the empty tokens gives the law of a literal choice.
+    The frames are walked together by :func:`_walk_states`, which keeps
+    how many of them sit in each (singles, active tokens) state, so a
+    run costs a step per user and occupied state, not per frame.  The
+    grant then works per state: in binary mode a uniform grant of
+    min(active, data_slots) of the active tokens takes a hypergeometric
+    number of the singles, so the state's frames split by one
+    multinomial draw over that law; in ternary mode every frame of the
+    state delivers min(singles, data_slots) and no grant is drawn.
 
-    A block draws its users' choices in chunks of the layout's rows,
-    then, in binary mode only, one hypergeometric success count per
-    frame.  In ternary mode the success count is min(singles,
-    data_slots) whichever singles are granted, so no grant draws are
-    consumed.  The layout depends only on the tokens and users, never on
-    N.  Raises ``ValueError`` before drawing when there are more than
-    2**63 tokens, the most an int64 draw can index, or when the walk's
-    user-frames, plus :data:`_STEP_FRAMES` per user and block, pass
-    :data:`_WALK_LIMIT`.
+    Raises ``ValueError`` before drawing when there are more than 2**63
+    tokens, the most :func:`simulate_frame`'s 64-bit draw can index, or
+    2**63 frames or more, past what a 64-bit count holds, or when the
+    walk's price (see :data:`_WALK_LIMIT`) is over its limit.
     """
     cfg = params.config
     if cfg.tokens > 2**63:
@@ -305,65 +283,120 @@ def estimate_pmf(params: SimParams) -> EmpiricalReport:
             f"simulating {cfg.tokens} tokens is over the limit of 2**63 tokens, "
             "the most a 64-bit draw can index; use fewer tokens"
         )
-    layout = _layout(cfg)
-    blocks = -(-params.iterations // layout.frames)
-    price = cfg.users * (params.iterations + blocks * _STEP_FRAMES)
+    if params.iterations >= 2**63:
+        raise ValueError(
+            f"simulating {params.iterations} frames is over the limit of "
+            "2**63 - 1 frames, the most a 64-bit count holds; use fewer frames"
+        )
+    width = min(cfg.tokens, cfg.users) + 1
+    reachable = width * (width + 1) // 2  # pairs 0 <= s <= a <= min(M, T)
+    # no credit for early absorption: a walk may run through every user
+    price = cfg.users * (_STEP_STATES + min(params.iterations, reachable))
     if price > _WALK_LIMIT:
         raise ValueError(
             f"simulating {params.iterations} frames of {cfg.users} users walks "
-            f"{price:.3g} user-frames, over the limit of {_WALK_LIMIT:.3g}; "
+            f"{price:.3g} state-steps, over the limit of {_WALK_LIMIT:.3g}; "
             "use fewer users or frames"
         )
     import numpy as np
 
     rng = make_rng(params.seed)
-    tally = np.zeros(cfg.max_successes + 1, dtype=np.int64)
-    for start in range(0, params.iterations, layout.frames):
-        singles, active = _walk_occupancy(
-            rng, cfg, min(layout.frames, params.iterations - start)
-        )
-        # active <= min(tokens, users), so capping the grant at
-        # max_successes rather than data_slots changes nothing and fits
-        # the counters' dtype
-        if params.mode is DetectionMode.BINARY:
-            successes = rng.hypergeometric(
-                singles, active - singles, np.minimum(active, cfg.max_successes)
-            )
-        else:
-            successes = np.minimum(singles, cfg.max_successes)
-        tally += np.bincount(successes, minlength=len(tally))
-        # free this block's vectors before the next block draws
-        del singles, active, successes
-
+    singles, active, frames = _walk_states(rng, cfg, params.iterations)
+    cap = cfg.max_successes
+    tally = np.zeros(cap + 1, dtype=np.int64)
+    if params.mode is DetectionMode.BINARY:
+        # the grant takes at most min(singles, cap) singles
+        columns = min(cap, int(singles.max())) + 1
+        step = max(1, _GRANT_CELLS // columns)
+        for start in range(0, len(frames), step):
+            part = slice(start, start + step)
+            law = _grant_law(singles[part], active[part], cap, columns)
+            tally[:columns] += rng.multinomial(frames[part], law).sum(axis=0)
+    else:
+        np.add.at(tally, np.minimum(singles, cap), frames)
     return EmpiricalReport(params=params, counts=tuple(int(n) for n in tally))
 
 
-def _walk_occupancy(
+def _walk_states(
     rng: np.random.Generator, config: SystemConfig, frames: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(singles, active tokens) in each of ``frames`` fresh frames, by
-    the walk of :func:`estimate_pmf`, one vector step per user."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Walk ``frames`` fresh frames through the users together.
+
+    Returns three int64 vectors over the occupied states: the singles,
+    the active tokens and how many frames end in that state.  States are
+    distinct and each holds at least one frame.
+
+    In one frame a user's uniform choice lands on one of the s singles
+    (the state becomes (s - 1, a)), on one of the M - a empty tokens
+    (s + 1, a + 1) or on a collision (no change).  Frames are
+    independent, so the n frames of a state split among the three by
+    one multinomial draw, and equal states then merge.  The walk stops
+    early once every frame is in (0, M), where every token collided.
+    A state is keyed by a * (w + 1) + s with w = min(M, T), never by M.
+    """
     import numpy as np
 
-    layout = _layout(config)
-    singles = np.zeros(frames, dtype=f"i{layout.counter}")
-    active = np.zeros_like(singles)
-    lands = np.empty(frames, dtype=bool)
-    collides = np.empty(frames, dtype=bool)
-    for start in range(0, config.users, layout.rows):
-        chunk = rng.integers(
-            0, config.tokens, size=(min(layout.rows, config.users - start), frames),
-            dtype=f"i{layout.choice}",
-        )
-        for u in chunk:
-            np.greater_equal(u, active, out=lands)
-            np.less(u, singles, out=collides)
-            active += lands
-            singles += lands
-            singles -= collides
-        # free the chunk (u views it) before the next one is drawn
-        del chunk, u
-    return singles, active
+    tokens = float(config.tokens)
+    width = min(config.tokens, config.users) + 1
+    absorbed = config.tokens * width if config.tokens < width else -1
+    keys = np.zeros(1, dtype=np.int64)
+    counts = np.array([frames], dtype=np.int64)
+    for _ in range(config.users):
+        if len(keys) == 1 and keys[0] == absorbed:
+            break
+        active = keys // width
+        # the last column, a collision, takes what the other two leave
+        law = np.zeros((len(keys), 3))
+        np.divide(keys - active * width, tokens, out=law[:, 0])
+        np.divide(tokens - active, tokens, out=law[:, 1])
+        moved = rng.multinomial(counts, law).T.ravel()
+        keys = np.concatenate((keys - 1, keys + (width + 1), keys))
+        # drop empty moves (a state without a single loses none, and a
+        # state without an empty token fills none), then merge equal states
+        held = np.flatnonzero(moved)
+        keys, moved = keys[held], moved[held]
+        order = np.argsort(keys, kind="stable")
+        keys, moved = keys[order], moved[order]
+        first = np.empty(len(keys), dtype=bool)
+        first[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        keys, counts = keys[starts], np.add.reduceat(moved, starts)
+    active = keys // width
+    return keys - active * width, active, counts
+
+
+def _grant_law(
+    singles: np.ndarray, active: np.ndarray, cap: int, width: int
+) -> np.ndarray:
+    """Row i: the law of the singles among min(a, cap) tokens granted
+    uniformly from a = ``active[i]`` active tokens, s = ``singles[i]``
+    of them singles, over 0 .. width - 1 singles.
+
+    The weight of d singles is C(s, d) C(a - s, k - d) with k = min(a,
+    cap).  A row sums the logs of the exact ratios of consecutive
+    weights and is scaled by its largest weight before it is
+    normalised, so no row overflows however large a is.
+    """
+    import numpy as np
+
+    s = singles[:, None]
+    bad = active[:, None] - s
+    k = np.minimum(active, cap)[:, None]
+    d = np.arange(width)
+    support = (d >= k - bad) & (d <= np.minimum(s, k))
+    # w(d + 1) / w(d) = (s - d)(k - d) / ((d + 1)(a - s - k + d + 1))
+    # between two points of the support, 1 elsewhere
+    rise = np.ones((len(singles), width))
+    step = support[:, :-1] & support[:, 1:]
+    e = d[:-1]
+    np.divide(
+        (s - e) * (k - e), (e + 1) * (bad - k + e + 1), out=rise[:, 1:], where=step
+    )
+    log_weight = np.cumsum(np.log(rise), axis=1)
+    log_weight[~support] = -np.inf
+    weight = np.exp(log_weight - log_weight.max(axis=1, keepdims=True))
+    return weight / weight.sum(axis=1, keepdims=True)
 
 
 class ComparisonRecord(Record):
@@ -405,7 +438,7 @@ def compare_to_exact(report: EmpiricalReport) -> ComparisonRecord:
 def _compare(report: EmpiricalReport, exact: SuccessPmf) -> ComparisonRecord:
     """:func:`compare_to_exact` against an exact pmf the caller built
     (and whose cost guard it settled) before simulating."""
-    gaps = [abs(a - b) for a, b in zip(report.pmf_hat.mass, exact.mass)]
+    gaps = [abs(a - b) for a, b in zip(report.pmf_hat.mass, exact.mass, strict=True)]
     return ComparisonRecord(
         params=report.params,
         tv_distance=sum(gaps) / 2,

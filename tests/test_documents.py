@@ -44,28 +44,28 @@ DOCUMENTS = {
         0, "5b84805054356df3c5c1778738e547b2aba998213728cefe587666fdcd98280c"
     ),
     "simulate --tokens 8 --slots 4 --users 12 --seed 42 --iterations 2000 --format json": (
-        0, "890cc28c2c9a6a5f506c62b83c6dae9f06cf4028ea2ff8f86b2c0c55e0a3b0fb"
+        0, "dba560b88c6ec337cdd69550d09eb9070cbecee597d114e288ca0ef46138accc"
     ),
     "simulate --tokens 8 --slots 4 --users 12 --seed 42 --iterations 2000 --format csv": (
-        0, "768253909fdc0224ee92e41af3eac9a912f5ba9ae26ae3cbdcb3f91ea5967356"
+        0, "06c1384beea5e0c5fc77f299e8b9cc9ac35d3275ee2854d5c7f13a04a5136ba2"
     ),
     "simulate --tokens 8 --slots 4 --users 12 --seed 42 --iterations 2000 --mode ternary --format json": (
-        0, "95dbaca4f0f8dd54a9aea9fb071e888a953d726fd2130e7253e4245e50396928"
+        0, "0af27e37b759fcf18faa510238b4aa9903558248c5a9aad34bd1bc5f9dde5b6c"
     ),
     "simulate --tokens 8 --slots 4 --users 12 --seed 42 --iterations 2000 --mode ternary --format csv": (
-        0, "9e39e29652ac03708d9f921856ead64418804346d1b1accbe91dbd157b2fa36c"
+        0, "51f1c221a700ff3c70cf05af4789d8dee198713f605fa71b7a68ba2296b98cff"
     ),
     "simulate --tokens 8 --slots 4 --users 0 --seed 42 --iterations 2000 --format json": (
-        0, "0e2187a2d8a249fd6b26493606d39e2fc03d3a67ab8de8ff13132fe20573a0b4"
+        0, "fe41af14596baf73ba452d28e897521bfabc1a2f69ae1f21a8948c91510d495a"
     ),
     "simulate --tokens 8 --slots 4 --users 0 --seed 42 --iterations 2000 --format csv": (
         0, "a711a0b5a966143fd0d7d3227a2155ff527508e96967f2f72493d9a767f67c07"
     ),
     "compare --tokens 8 --slots 8 --users 12 --seed 42 --iterations 2000 --format json": (
-        0, "317c3600438a99368906da19e58be7118b00ed7566920e97a63510d5622b90ea"
+        0, "208b4a55539481dee278eef03f71de844478a83d6305db0e4a3572179ebf4689"
     ),
     "compare --tokens 8 --slots 8 --users 12 --seed 42 --iterations 2000 --format csv": (
-        0, "bd20991a0702a5f6edc270e6acb7037ca24394ecd86d436d8e172acc31dcccaa"
+        0, "9b414f7df6f80efc169a2db028e3ec63b446310548f932d0e528b9bc1ba01dd8"
     ),
     "optimize-k --tokens 8 --users 12 --k-max 8 --format json": (
         0, "8e532549691824173b0880d30f71ed64a4dc5449ed0d28b23a472eca6f8b78d2"

@@ -204,6 +204,9 @@ _ROW_2 = frame_metrics(SystemConfig(8, 4, 2))
         (_trace((2, 0, 0), (0,)), "sum to the number of users"),
         (_trace((1, 1, 1), (0, 1)), "min(eligible, data_slots)"),
         (_trace((2, 1, 0), (2,)), "must be eligible"),
+        (lambda: EmpiricalReport(PARAMS, (5,)), "max_successes + 1 = 5 entries, got 1"),
+        (lambda: EmpiricalReport(PARAMS, (201, -1, 0, 0, 0)), "must be non-negative"),
+        (lambda: EmpiricalReport(PARAMS, (5, 0, 0, 0, 0)), "sum to the 200 iterations"),
     ],
 )
 def test_post_init_rejections_still_fire(build, message):
@@ -222,11 +225,13 @@ def test_frame_metrics_accept_every_mean_from_zero_to_min_k_t():
 
 #: Configurations on which the derived attributes are pinned, and the
 #: sha256 of their values as written by :func:`_derived_lines`, recorded
-#: when each of them was still a stored, cross-checked field.
+#: when each of them was still a stored, cross-checked field.  The
+#: simulated lines were re-captured with the ``numpy-pcg64/v5`` stream;
+#: the others hash as they did before it.
 DERIVED_GRID = [
     SystemConfig(m, k, t) for m in (1, 3, 8) for k in (1, 4) for t in (0, 1, 5, 12)
 ]
-DERIVED_SHA256 = "5fec1fa5e0664b5cdeedb2868e6e47ad7ef7917a1ec0f3012a9ee7161920caca"
+DERIVED_SHA256 = "5ecd48c6da56aa72860702c88fca2c888c30417d32c406a64bb33738b50fad83"
 
 
 def _derived_lines():

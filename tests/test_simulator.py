@@ -10,9 +10,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from accessframe import simulator
-from accessframe.analysis import PmfKind, SystemConfig, success_pmf
+from accessframe.analysis import (
+    PmfKind,
+    SystemConfig,
+    outcome_probability,
+    success_pmf,
+)
 from accessframe.simulator import (
     RNG_ALGORITHM,
     DetectionMode,
@@ -24,12 +30,7 @@ from accessframe.simulator import (
     make_rng,
     simulate_frame,
 )
-from accessframe.simulator import (
-    _BLOCK_BYTES,
-    _block_bytes,
-    _layout,
-    _walk_occupancy,
-)
+from accessframe.simulator import _GRANT_CELLS, _grant_law, _walk_states
 from oracles import brute_force_ternary_pmf
 
 
@@ -109,12 +110,11 @@ def test_frame_trace_validation():
 
 def test_binary_counts_equal_ternary_when_everyone_fits():
     # with a slot for every token, all active tokens are granted, so the
-    # binary hypergeometric draw returns the singles and, taking every
-    # token, consumes no stream: both modes tally the same user choices
-    # even across blocks
+    # binary grant law puts every frame of a state on its singles, and the
+    # grant is drawn after the walk: both modes tally the same walk
     for tokens, slots, users in [(4, 4, 6), (8, 9, 12), (3, 5, 2)]:
         cfg = SystemConfig(tokens, slots, users)
-        for iterations in (1, 1000, 2 * _layout(cfg).frames + 3):
+        for iterations in (1, 1000, 100_003):
             binary = estimate_pmf(SimParams(cfg, iterations=iterations, seed=5))
             ternary = estimate_pmf(
                 SimParams(cfg, iterations=iterations, seed=5, mode="ternary")
@@ -138,7 +138,7 @@ def test_binary_grant_matches_exact_pmf_when_crowded():
 
 
 def test_binary_matches_exact_pmf_with_wide_token_indices():
-    # more tokens than an int16 holds: choices are drawn as int64
+    # more tokens than an int16 holds, and far more than users
     cfg = SystemConfig(40000, 4, 12)
     report = estimate_pmf(SimParams(cfg, iterations=3000, seed=23))
     _assert_within_sampling_noise(success_pmf(cfg).mass, report.counts)
@@ -155,11 +155,12 @@ def _ternary_from_binary(cfg):
 
 @pytest.mark.parametrize(
     "tokens, slots, users, iterations",
-    [(4, 2, 8, 2000), (4, 2, 8, 60000), (40000, 4, 12, 20000)],
-    ids=["4-8-one-block", "4-8-three-blocks", "40000-12"],
+    [(4, 2, 8, 2000), (4, 2, 8, 60000), (40000, 4, 12, 20000), (4, 2, 16, 20000)],
+    ids=["4-8-2000", "4-8-60000", "40000-12", "4-16-absorbing"],
 )
 def test_both_modes_match_the_exact_laws(tokens, slots, users, iterations):
-    # within one block, across blocks, and with int64 choices
+    # few and many frames, T << M, and T >= 2M, where three quarters of
+    # the frames reach the absorbing state (every token collided)
     cfg = SystemConfig(tokens, slots, users)
     if tokens**users <= 10**6:
         ternary = brute_force_ternary_pmf(tokens, slots, users)
@@ -178,15 +179,78 @@ def test_ternary_from_binary_matches_enumeration():
         ) == brute_force_ternary_pmf(tokens, slots, users)
 
 
-def test_walk_counters_widen_past_int16():
-    # min(M, T) = 2^15 no longer fits an int16 counter
-    cfg = SystemConfig(1 << 15, 4, (1 << 15) + 1)
-    singles, active = _walk_occupancy(make_rng(3), cfg, 2)
-    assert singles.dtype == active.dtype == np.int64
+def _joint_law(cfg):
+    """Exact probability of each (singles, collisions) split."""
+    return {
+        (s, c): outcome_probability(cfg, s, c)
+        for s in range(min(cfg.tokens, cfg.users) + 1)
+        for c in range(min(cfg.tokens - s, (cfg.users - s) // 2) + 1)
+    }
+
+
+@pytest.mark.parametrize(
+    "tokens, users, frames",
+    [(6, 7, 20000), (3, 9, 20000), (40, 5, 20000), (5, 5, 7)],
+    ids=["T~M", "T>=2M-absorbing", "T<<M", "few-frames"],
+)
+def test_walk_states_follow_the_exact_joint_law(tokens, users, frames):
+    # the walk's final states against the exact law of (singles,
+    # collisions), which no draw of the grant touches
+    cfg = SystemConfig(tokens, 1, users)
+    law = _joint_law(cfg)
+    assert sum(law.values()) == 1
+    singles, active, counts = _walk_states(make_rng(19), cfg, frames)
+    splits = zip(singles.tolist(), (active - singles).tolist())
+    held = dict(zip(splits, counts.tolist()))
+    assert set(held) <= set(law)
+    _assert_within_sampling_noise(list(law.values()), [held.get(k, 0) for k in law])
+
+
+def _assert_walk_invariants(cfg, frames, singles, active, counts):
+    assert singles.dtype == active.dtype == counts.dtype == np.int64
+    assert int(counts.sum()) == frames and (counts > 0).all()
     assert (0 <= singles).all() and (singles <= active).all()
     assert (active <= min(cfg.tokens, cfg.users)).all()
     # every collision holds at least two users
     assert (singles + 2 * (active - singles) <= cfg.users).all()
+    # each occupied state is listed once
+    assert len(set(zip(singles.tolist(), active.tolist()))) == len(counts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 12), st.integers(0, 30), st.integers(1, 10**9), st.integers(0, 2**32)
+)
+def test_walk_states_keep_their_invariants_after_every_user(
+    tokens, users, frames, seed
+):
+    for t in range(users + 1):
+        cfg = SystemConfig(tokens, 1, t)
+        _assert_walk_invariants(cfg, frames, *_walk_states(make_rng(seed), cfg, frames))
+
+
+def test_walk_states_keep_their_invariants_past_2_15_tokens():
+    # min(M, T) = 2^15 keys states by values past an int16
+    cfg = SystemConfig(1 << 15, 4, (1 << 15) + 1)
+    _assert_walk_invariants(cfg, 2, *_walk_states(make_rng(3), cfg, 2))
+
+
+def test_grant_law_matches_exact_hypergeometric_weights():
+    # each row against C(s, d) C(a - s, k - d) / C(a, k), including rows
+    # whose exact weights pass a float's range
+    states = [(s, a) for a in range(13) for s in range(a + 1)]
+    states += [(700, 1300), (1300, 1300), (0, 1300), (12000, 20700), (1, 2)]
+    for cap in (0, 1, 4, 12, 1024):
+        singles = np.array([s for s, _ in states], dtype=np.int64)
+        active = np.array([a for _, a in states], dtype=np.int64)
+        width = min(cap, int(singles.max())) + 1
+        law = _grant_law(singles, active, cap, width)
+        for (s, a), row in zip(states, law):
+            k = min(a, cap)
+            for d, p in enumerate(row.tolist()):
+                ways = math.comb(s, d) * math.comb(a - s, k - d) if d <= k else 0
+                exact = ways / math.comb(a, k)
+                assert abs(p - exact) <= 1e-12 * exact, (s, a, cap, d)
 
 
 def _assert_within_sampling_noise(exact, counts):
@@ -241,67 +305,34 @@ def test_estimate_pmf_is_bit_deterministic():
 
 
 def test_estimate_pmf_spans_block_boundaries():
-    # totals must cover every frame even when N is not a block multiple
+    # totals cover every frame, however many
     cfg = SystemConfig(4, 2, 6)
-    n = _layout(cfg).frames + 17
-    report = estimate_pmf(SimParams(cfg, iterations=n, seed=3))
-    assert sum(report.counts) == n
+    for n in (1, 24983, 2**40 + 17):
+        for mode in DetectionMode:
+            report = estimate_pmf(SimParams(cfg, iterations=n, seed=3, mode=mode))
+            assert sum(report.counts) == n
 
 
 def test_seeded_streams_are_pinned_to_the_rng_version():
     # any change to these counts changes the published stream, so it must
     # come with a new RNG_ALGORITHM version
-    assert RNG_ALGORITHM == "numpy-pcg64/v4"
+    assert RNG_ALGORITHM == "numpy-pcg64/v5"
     binary = SimParams(
         SystemConfig(8, 3, 10), iterations=(1 << 15) + 17, seed=20260
     )
-    assert estimate_pmf(binary).counts == (3501, 13449, 12768, 3067)
+    assert estimate_pmf(binary).counts == (3684, 13284, 12664, 3153)
     ternary = SimParams(
         SystemConfig(6, 2, 5), iterations=1000, seed=77, mode="ternary"
     )
-    assert estimate_pmf(ternary).counts == (40, 261, 699)
-    # two full blocks and a partial one at a benchmark-sized frame
+    assert estimate_pmf(ternary).counts == (34, 252, 714)
+    # a benchmark-sized frame
     crowded = SimParams(SystemConfig(128, 4, 160), iterations=100_000, seed=20261)
-    assert 100_000 > 2 * _layout(crowded.config).frames
-    assert 100_000 % _layout(crowded.config).frames != 0
-    assert estimate_pmf(crowded).counts == (6211, 24911, 37614, 24983, 6281)
-
-
-@pytest.mark.parametrize(
-    "tokens, users, layout",
-    [
-        (128, 160, (24966, 21, 2, 2)),
-        (1 << 15, (1 << 15) + 1, (15887, 33, 2, 8)),  # int64 counters
-        (40000, 12, (24966, 5, 8, 2)),  # int64 choices
-        (40000, 40000, (15887, 8, 8, 8)),
-    ],
-    ids=["int16", "int64-counters", "int64-choices", "int64"],
-)
-def test_block_layout_is_pinned_to_the_rng_version(monkeypatch, tokens, users, layout):
-    # frames per block, users per chunk and the bytes of a choice and of
-    # a counter cut the stream, so a change to any of them changes the
-    # published stream and must come with a new RNG_ALGORITHM version
-    assert RNG_ALGORITHM == "numpy-pcg64/v4"
-    for slots in (1, 4, 10**6):
-        assert _layout(SystemConfig(tokens, slots, users)) == layout
-    # a run of any length is cut into blocks of the layout's frames
-    walked = []
-
-    def walk(rng, config, frames):
-        walked.append(frames)
-        return np.zeros(frames, dtype=np.int64), np.zeros(frames, dtype=np.int64)
-
-    monkeypatch.setattr(simulator, "_walk_occupancy", walk)
-    block = layout[0]
-    for blocks in ([1], [block], [block, block, 17]):
-        walked.clear()
-        estimate_pmf(SimParams(SystemConfig(tokens, 4, users), sum(blocks), seed=0))
-        assert walked == blocks
+    assert estimate_pmf(crowded).counts == (6083, 24911, 37740, 25213, 6053)
 
 
 def test_estimate_pmf_refuses_oversized_blocks_before_drawing():
-    # blocks are cut to the byte budget, so only a walk over so many
-    # user-frames that it takes hours is over the limit
+    # memory does not grow with the frames, so only a walk over so many
+    # state-steps that it takes hours is over the limit
     tracemalloc.start()
     try:
         for mode in DetectionMode:
@@ -314,26 +345,50 @@ def test_estimate_pmf_refuses_oversized_blocks_before_drawing():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
-    # 20000 users fit, drawn in many chunks
+    # 20000 users fit
     for mode in DetectionMode:
         params = SimParams(SystemConfig(8, 4, 20000), iterations=100, seed=1, mode=mode)
-        assert _layout(params.config).rows < 100
         assert sum(estimate_pmf(params).counts) == 100
+    # and any frame count that a 64-bit count holds
+    for frames, fits in ((2**63 - 1, True), (2**63, False)):
+        params = SimParams(SystemConfig(8, 4, 12), iterations=frames, seed=1)
+        if fits:
+            assert sum(estimate_pmf(params).counts) == frames
+        else:
+            with pytest.raises(ValueError, match="fewer frames"):
+                estimate_pmf(params)
 
 
-def test_estimate_pmf_peak_stays_within_the_block_budget():
-    # a benchmark-sized run holds about one budgeted block, whatever N is
+@pytest.mark.parametrize(
+    "tokens, slots, users",
+    [
+        (128, 46, 160), (8, 4, 12), (4, 4, 2000), (400, 4, 10), (1, 1, 1),
+        (1, 4, 40), (64, 8, 70), (1000, 4, 20), (40000, 4, 12),
+    ],
+    ids=[
+        "128-160", "8-12", "4-2000", "400-10", "1-1-1", "1-4-40",
+        "64-70", "1000-20", "40000-12",
+    ],
+)
+def test_estimate_pmf_peak_does_not_grow_with_frames(tokens, slots, users):
+    # a run holds its occupied states (a few hundred at most here) and
+    # one chunk of binary grant rows with its float temporaries (about
+    # 1.2 MB), so 40x the frames of a benchmark-sized run stay under one
+    # bound, also where the walk absorbs early (4-2000), where T << M
+    # (40000-12) and where a single token takes every user (1-4-40)
+    config = SystemConfig(tokens, slots, users)
     for mode in DetectionMode:
-        params = SimParams(
-            SystemConfig(128, 46, 160), iterations=50000, seed=5, mode=mode
-        )
-        tracemalloc.start()
-        try:
-            estimate_pmf(params)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * _BLOCK_BYTES, mode
+        # one untraced frame first, so numpy.random's first import stays
+        # out of the trace when this test runs on its own
+        estimate_pmf(SimParams(config, iterations=1, seed=5, mode=mode))
+        for frames in (50_000, 2_000_000):
+            tracemalloc.start()
+            try:
+                estimate_pmf(SimParams(config, iterations=frames, seed=5, mode=mode))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 48 * _GRANT_CELLS, (mode, frames, peak)
 
 
 def test_ternary_beats_binary_rate_under_load():
@@ -396,7 +451,7 @@ def test_empirical_distribution_matches_brute_force_tolerance():
 def test_report_json_carries_reproduction_data():
     params = SimParams(SystemConfig(8, 4, 12), iterations=2000, seed=77)
     payload = json.loads(estimate_pmf(params).to_json())
-    assert payload["rng"] == RNG_ALGORITHM == "numpy-pcg64/v4"
+    assert payload["rng"] == RNG_ALGORITHM == "numpy-pcg64/v5"
     assert payload["seed"] == 77
     assert payload["iterations"] == 2000
     assert payload["mode"] == "binary"
@@ -423,38 +478,3 @@ def test_comparison_record_serialization():
     }
     header = record.to_csv().split("\n", 1)[0]
     assert header == "M,K,T,mode,seed,iterations,tv_distance,max_abs_mass_error"
-
-
-@pytest.mark.parametrize(
-    "tokens, slots, users",
-    [
-        (8, 4, 12), (4, 4, 2000), (128, 4, 160), (400, 4, 10), (1, 1, 1),
-        (1, 4, 40), (64, 8, 70), (1000, 4, 20), (40000, 4, 12),
-    ],
-    ids=[
-        "8-12", "4-2000", "128-160", "400-10", "1-1-1", "1-4-40",
-        "64-70", "1000-20", "40000-12",
-    ],
-)
-def test_block_bytes_bounds_the_traced_peak(tokens, slots, users):
-    # the block estimate must stay an upper bound on the block actually
-    # drawn, also over two full blocks and a partial one, apart from
-    # numpy's fixed-size cast buffers (the walk casts its masks and,
-    # past 2^15 tokens, its counters)
-    cast_buffers = 2 * np.getbufsize() * np.dtype(np.intp).itemsize
-    config = SystemConfig(tokens, slots, users)
-    block = _layout(config).frames
-    for mode in DetectionMode:
-        # one untraced frame first, so numpy.random's first import stays
-        # out of the trace when this test runs on its own
-        estimate_pmf(SimParams(config, iterations=1, seed=5, mode=mode))
-        for frames in (2000, 2 * block + 17):
-            params = SimParams(config, iterations=frames, seed=5, mode=mode)
-            tracemalloc.start()
-            try:
-                estimate_pmf(params)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            drawn = _block_bytes(config, min(frames, block))
-            assert peak <= drawn + cast_buffers, (mode, frames)
