@@ -23,11 +23,13 @@ print(f"frame: M={config.tokens} tokens, K={config.data_slots} data slots, "
 print(f"successes per frame can reach min(M, K, T) = {config.max_successes}")
 print()
 
-# Masses are exact fractions; the float view is only for display.
+# The pmf holds integer counts of the M**T assignments over one
+# denominator; each mass is an exact fraction read off them, and the
+# float view is only for display.
 print("d   P(S_D = d)          as float")
 for d, mass in enumerate(pmf.mass):
     print(f"{d}   {str(mass):<18}  {float(mass):.6f}")
-print(f"sum of masses: {pmf.total()} (exactly one, by construction)")
+print(f"sum of masses: {sum(pmf.mass)} (exactly one, by construction)")
 print(f"mean successes: {pmf.mean()} = {float(pmf.mean()):.6f}")
 print()
 

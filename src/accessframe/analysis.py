@@ -274,18 +274,20 @@ def success_pmf(config: SystemConfig) -> "SuccessPmf":
     """Exact pmf of the number of data-phase successes, over
     d = 0 .. min(tokens, data_slots, users).
 
-    Every mass is an integer count of assignments over tokens**users,
-    reduced once, so the result is exact however wildly the terms differ
-    in magnitude.  With no users the pmf is a point mass at zero.  Raises
-    ``ValueError`` before any work when the roll, the moment sums and the
-    reductions would together cost too much (see
+    The pmf holds, for each d, the integer count of assignments over
+    tokens**users, so the result is exact however wildly the terms
+    differ in magnitude; a mass is reduced only when it is read.  With
+    no users the pmf is a point mass at zero.  Raises ``ValueError``
+    before any work when the roll, the moment sums and the reductions
+    would together cost too much (see
     :func:`~accessframe.combinatorics.exact_work`).
     """
     t, big_m, big_k = config.users, config.tokens, config.data_slots
     width, top = min(big_m, t), config.max_successes
     # moment r multiplies row T - r, capped at width - r columns, by weights
     # C(M, a) * C(min(a, K), r) < C(M, a) * 2**top; step r of the inversion
-    # updates top - r + 1 counts, and top + 1 masses reduce, over M**T
+    # updates top - r + 1 counts, and top + 1 masses over M**T reduce
+    # when they are read
     count_bits = t * math.log2(big_m) + 2 * top
     work = exact_work(
         t,
@@ -314,36 +316,71 @@ def success_pmf(config: SystemConfig) -> "SuccessPmf":
         counts = list(map(sub, [0, *counts], [*counts, 0]))
         counts[0] += moment
 
-    assignments = big_m**t
-    mass = tuple(Fraction(c, assignments) for c in counts)
-    return SuccessPmf(config=config, mass=mass, kind=PmfKind.EXACT)
+    return SuccessPmf(config, tuple(counts), big_m**t, PmfKind.EXACT)
 
 
 class SuccessPmf(Record):
     """Distribution of the per-frame success count S, indexed d = 0 ..
-    min(tokens, data_slots, users).
+    min(tokens, data_slots, users), as integer counts over one
+    denominator: P(S = d) = counts[d] / denominator.
 
-    ``kind`` records provenance: "exact" (rational masses summing to
-    exactly 1) or "empirical" (simulated frequencies, exact multiples of
-    1/N).
+    ``kind`` records provenance: "exact" (assignments out of
+    tokens**users, so the denominator divides it) or "empirical"
+    (frames out of the N simulated).  The counts are kept in lowest
+    terms, so equal laws are equal records; ``mass`` reads them off as
+    exact fractions.  A record whose counts are not max_successes + 1
+    non-negative integers summing to the denominator is refused.
     """
 
     config: SystemConfig
-    mass: tuple
+    counts: tuple[int, ...]
+    denominator: int
     kind: PmfKind
 
+    def __post_init__(self) -> None:
+        counts = tuple(as_int(c) for c in self.counts)
+        denominator = as_int(self.denominator)
+        kind = PmfKind(self.kind)
+        outcomes = self.config.max_successes + 1
+        if len(counts) != outcomes:
+            raise ValueError(
+                f"counts must hold max_successes + 1 = {outcomes} entries, "
+                f"got {len(counts)}"
+            )
+        if min(counts) < 0:
+            raise ValueError("counts must be non-negative")
+        if denominator < 1:
+            raise ValueError(f"the denominator must be >= 1, got {denominator}")
+        if sum(counts) != denominator:
+            raise ValueError(
+                f"counts must sum to the denominator {denominator}, got {sum(counts)}"
+            )
+        # modular, so a huge T never builds tokens**users
+        config = self.config
+        if kind is PmfKind.EXACT and pow(config.tokens, config.users, denominator):
+            raise ValueError(
+                f"the denominator {denominator} of an exact law must divide "
+                f"tokens**users = {config.tokens}**{config.users}"
+            )
+        common = math.gcd(denominator, *counts)
+        object.__setattr__(self, "counts", tuple(c // common for c in counts))
+        object.__setattr__(self, "denominator", denominator // common)
+        object.__setattr__(self, "kind", kind)
+
+    @property
+    def mass(self) -> tuple[Fraction, ...]:
+        """P(S = d) for each d, each reduced on its own."""
+        return tuple(Fraction(c, self.denominator) for c in self.counts)
+
     def __len__(self) -> int:
-        return len(self.mass)
+        return len(self.counts)
 
-    def __getitem__(self, d: int):
-        return self.mass[d]
+    def __getitem__(self, d: int) -> Fraction:
+        return Fraction(self.counts[d], self.denominator)
 
-    def mean(self):
+    def mean(self) -> Fraction:
         """Expected number of successes per frame."""
-        return sum(d * p for d, p in enumerate(self.mass))
-
-    def total(self):
-        return sum(self.mass)
+        return Fraction(sum(d * c for d, c in enumerate(self.counts)), self.denominator)
 
     def to_json_dict(self) -> dict:
         return {
@@ -354,13 +391,17 @@ class SuccessPmf(Record):
 
     @classmethod
     def from_json(cls, text: str) -> "SuccessPmf":
+        """The record a :meth:`to_json` document holds.  Its masses are
+        put over the least common multiple of their denominators, so a
+        document that is not a law is refused like any other record."""
         payload = json.loads(text)
         config = SystemConfig(
             tokens=payload["M"], data_slots=payload["K"], users=payload["T"]
         )
-        kind = PmfKind(payload["kind"])
-        mass = tuple(parse_rational(p) for p in payload["mass"])
-        return cls(config=config, mass=mass, kind=kind)
+        mass = [parse_rational(p) for p in payload["mass"]]
+        denominator = math.lcm(*(p.denominator for p in mass))
+        counts = tuple(p.numerator * (denominator // p.denominator) for p in mass)
+        return cls(config, counts, denominator, payload["kind"])
 
     def to_csv(self) -> str:
         lines = ["d,probability"]

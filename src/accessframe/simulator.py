@@ -194,10 +194,11 @@ def simulate_frame(
 class EmpiricalReport(Record):
     """Tallied outcome of a simulation run.
 
-    ``counts[d]`` is the raw number of frames with d successes; the
-    empirical pmf, the mean and the metrics on it are read off the
-    counts as exact fractions of the iterations.  The rate is None when
-    there are no users to succeed.
+    ``counts[d]`` is the raw number of frames with d successes.  The
+    empirical pmf is those counts over the iterations, and the mean and
+    the metrics are read off it as exact fractions; counts that are not
+    a law over the iterations are refused as that pmf refuses them.  The
+    rate is None when there are no users to succeed.
     """
 
     params: SimParams
@@ -205,30 +206,17 @@ class EmpiricalReport(Record):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "counts", tuple(as_int(c) for c in self.counts))
-        outcomes = self.params.config.max_successes + 1
-        if len(self.counts) != outcomes:
-            raise ValueError(
-                f"counts must hold max_successes + 1 = {outcomes} entries, "
-                f"got {len(self.counts)}"
-            )
-        if min(self.counts) < 0:
-            raise ValueError("counts must be non-negative")
-        if sum(self.counts) != self.params.iterations:
-            raise ValueError(
-                f"counts must sum to the {self.params.iterations} iterations, "
-                f"got {sum(self.counts)}"
-            )
+        self.pmf_hat  # refuses counts that are not a law over the iterations
 
     @property
     def pmf_hat(self) -> SuccessPmf:
-        n = self.params.iterations
-        mass = tuple(Fraction(c, n) for c in self.counts)
-        return SuccessPmf(config=self.params.config, mass=mass, kind=PmfKind.EMPIRICAL)
+        return SuccessPmf(
+            self.params.config, self.counts, self.params.iterations, PmfKind.EMPIRICAL
+        )
 
     @property
     def mean_successes(self) -> Fraction:
-        total = sum(d * c for d, c in enumerate(self.counts))
-        return Fraction(total, self.params.iterations)
+        return self.pmf_hat.mean()
 
     @property
     def success_rate(self) -> Fraction | None:
@@ -273,15 +261,20 @@ def estimate_pmf(params: SimParams) -> EmpiricalReport:
     state delivers min(singles, data_slots) and no grant is drawn.
 
     Raises ``ValueError`` before drawing when there are more than 2**63
-    tokens, the most :func:`simulate_frame`'s 64-bit draw can index, or
-    2**63 frames or more, past what a 64-bit count holds, or when the
-    walk's price (see :data:`_WALK_LIMIT`) is over its limit.
+    tokens, or 2**63 frames or more, past what a 64-bit count holds, or
+    when the walk's price (see :data:`_WALK_LIMIT`) is over its limit.
+    The walk itself indexes no token: it keys states by min(tokens,
+    users) and reads the token count only as a float.  The token limit
+    is kept so that every run :func:`estimate_pmf` accepts is one whose
+    frames :func:`simulate_frame` can also draw, and its int64 draw
+    indexes at most 2**63 tokens.
     """
     cfg = params.config
     if cfg.tokens > 2**63:
         raise ValueError(
-            f"simulating {cfg.tokens} tokens is over the limit of 2**63 tokens, "
-            "the most a 64-bit draw can index; use fewer tokens"
+            f"simulating {cfg.tokens} tokens is over the limit of 2**63 tokens "
+            "that simulate_frame's int64 draw can index, kept so both "
+            "simulators accept the same frames; use fewer tokens"
         )
     if params.iterations >= 2**63:
         raise ValueError(
@@ -437,10 +430,19 @@ def compare_to_exact(report: EmpiricalReport) -> ComparisonRecord:
 
 def _compare(report: EmpiricalReport, exact: SuccessPmf) -> ComparisonRecord:
     """:func:`compare_to_exact` against an exact pmf the caller built
-    (and whose cost guard it settled) before simulating."""
-    gaps = [abs(a - b) for a, b in zip(report.pmf_hat.mass, exact.mass, strict=True)]
+    (and whose cost guard it settled) before simulating.
+
+    Both laws are integer counts, so each gap is an integer over the
+    product of their denominators, and each statistic is one fraction.
+    """
+    empirical = report.pmf_hat
+    d_exact, d_sim = exact.denominator, empirical.denominator
+    gaps = [
+        abs(e * d_sim - c * d_exact)
+        for e, c in zip(exact.counts, empirical.counts, strict=True)
+    ]
     return ComparisonRecord(
         params=report.params,
-        tv_distance=sum(gaps) / 2,
-        max_abs_mass_error=max(gaps),
+        tv_distance=Fraction(sum(gaps), 2 * d_exact * d_sim),
+        max_abs_mass_error=Fraction(max(gaps), d_exact * d_sim),
     )

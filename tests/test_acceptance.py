@@ -47,7 +47,7 @@ def test_acceptance_normalization():
     for tokens in range(1, 13):
         for slots in range(1, 13):
             for users in range(0, 15):
-                total = success_pmf(SystemConfig(tokens, slots, users)).total()
+                total = sum(success_pmf(SystemConfig(tokens, slots, users)).mass)
                 if total != 1:
                     worst = (tokens, slots, users, total)
     _gate(

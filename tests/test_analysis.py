@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import re
 import sys
 import threading
 import tracemalloc
@@ -105,7 +107,7 @@ def test_success_pmf_support_and_kind():
     pmf = success_pmf(SystemConfig(8, 4, 12))
     assert len(pmf) == 5  # d = 0 .. min(M, K, T)
     assert pmf.kind is PmfKind.EXACT
-    assert pmf.total() == 1
+    assert sum(pmf.mass) == 1
 
 
 def test_success_pmf_matches_brute_force():
@@ -137,7 +139,7 @@ def test_success_pmf_is_split_mixture_of_hypergeometrics():
 def test_success_pmf_deep_load_is_normalized_with_occupancy_mean():
     cfg = SystemConfig(8, 4, 1600)
     pmf = success_pmf(cfg)
-    assert pmf.total() == 1
+    assert sum(pmf.mass) == 1
     assert pmf.mean() == expected_successes_by_occupancy(8, 4, 1600)
 
 
@@ -149,7 +151,7 @@ users = st.integers(0, 30)
 @settings(deadline=None)
 @given(tokens, slots, users)
 def test_success_pmf_masses_sum_to_one(m, k, t):
-    assert success_pmf(SystemConfig(m, k, t)).total() == 1
+    assert sum(success_pmf(SystemConfig(m, k, t)).mass) == 1
 
 
 @settings(deadline=None)
@@ -312,9 +314,9 @@ def test_parse_rational_still_rejects_malformed_text():
 
 
 def test_pmf_json_round_trip_past_the_str_limit():
-    tail = Fraction(1, 3**10000)  # 4772 digits
+    assignments = 3**10000  # 4772 digits
     pmf = SuccessPmf(
-        config=SystemConfig(3, 1, 10000), mass=(tail, 1 - tail), kind=PmfKind.EXACT
+        SystemConfig(3, 1, 10000), (1, assignments - 1), assignments, PmfKind.EXACT
     )
     text = pmf.to_json()
     clone = SuccessPmf.from_json(text)
@@ -337,6 +339,37 @@ def test_pmf_json_rejects_unknown_kind():
     text = success_pmf(SystemConfig(2, 1, 2)).to_json().replace('"exact"', '"float"')
     with pytest.raises(ValueError):
         SuccessPmf.from_json(text)
+
+
+@pytest.mark.parametrize(
+    "config, kind, mass, message",
+    [
+        ((2, 2, 2), "exact", ["1/2"], "3 entries, got 1"),
+        ((2, 2, 2), "exact", ["3/2", "-1/2"], "3 entries, got 2"),
+        ((2, 2, 2), "exact", ["1/3", "2/3"], "3 entries, got 2"),
+        ((2, 1, 2), "exact", ["1/4", "1/4"], "sum to the denominator 4, got 2"),
+        ((2, 1, 2), "empirical", ["3/2", "-1/2"], "must be non-negative"),
+        ((2, 1, 2), "exact", ["1/3", "2/3"], "denominator 3 of an exact law"),
+        # tokens**users is never built: 2**(10**18) has 3 * 10**17 digits
+        ((2, 1, 10**18), "exact", ["1/3", "2/3"], "denominator 3 of an exact law"),
+    ],
+)
+def test_pmf_json_rejects_documents_that_are_not_a_law(config, kind, mass, message):
+    m, k, t = config
+    text = json.dumps({"M": m, "K": k, "T": t, "kind": kind, "mass": mass})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SuccessPmf.from_json(text)
+
+
+def test_pmf_json_reads_any_law_over_a_common_denominator():
+    # the counts come back in lowest terms, whatever the masses' denominators
+    text = json.dumps({"M": 2, "K": 1, "T": 2, "kind": "empirical",
+                       "mass": ["1/3", "2/3"]})
+    pmf = SuccessPmf.from_json(text)
+    assert (pmf.counts, pmf.denominator) == ((1, 2), 3)
+    assert pmf == SuccessPmf(SystemConfig(2, 1, 2), (100, 200), 300, "empirical")
+    exact = success_pmf(SystemConfig(2, 1, 2))
+    assert (exact.counts, exact.denominator) == ((1, 1), 2)
 
 
 def test_pmf_csv_layout():

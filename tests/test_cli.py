@@ -99,8 +99,10 @@ def test_usage_failure_exits_two(capsys):
     assert "--seed" in captured.err
 
 
-#: A simulation over 2**63 + 1 tokens, one more than numpy's int64 draw
-#: can index; every other size is small.
+#: A simulation over 2**63 + 1 tokens, one more than simulate_frame's
+#: int64 draw can index.  The state walk indexes no token, so estimate_pmf
+#: refuses it only to accept the same frames as simulate_frame; every
+#: other size is small.
 TOO_MANY_TOKENS = ("--tokens", str(2**63 + 1), "--slots", "1", "--users", "3",
                    "--seed", "1", "--iterations", "10")
 
@@ -108,8 +110,8 @@ TOO_MANY_TOKENS = ("--tokens", str(2**63 + 1), "--slots", "1", "--users", "3",
 def test_oversized_input_exits_one_with_hint(capsys):
     # too long a surjection roll, too large a moment sum, a walk over too
     # many state-steps (compare's exact pmf refuses it first, and its
-    # cost grows with tokens too), more tokens than an int64 draw can
-    # index, and too many sweep values
+    # cost grows with tokens too), more tokens than simulate_frame's
+    # int64 draw can index, and too many sweep values
     simulation = ("--tokens", "8", "--slots", "4", "--users", "400000000",
                   "--seed", "1", "--iterations", "100000")
     exact_hint = "fewer users or tokens"
@@ -167,7 +169,7 @@ def test_pmf_fits_tokens_and_users_in_the_hundreds(capsys, tokens, slots, users)
     )
     assert code == 0 and err == ""
     pmf = SuccessPmf.from_json(out)
-    assert pmf.total() == 1
+    assert sum(pmf.mass) == 1
     assert pmf.mean() == expected_successes(SystemConfig(tokens, slots, users))
 
 
@@ -199,7 +201,7 @@ def test_exact_json_past_the_str_limit(capsys, argv, mean_past_the_str_limit):
     if argv[0] == "pmf":
         pmf = SuccessPmf.from_json(out)
         assert pmf.to_json() + "\n" == out
-        assert pmf.total() == 1 and pmf.mean() == mean
+        assert sum(pmf.mass) == 1 and pmf.mean() == mean
     elif argv[0] == "optimize-k":
         assert doc["K_star"] == 8
         assert parse_rational(doc["efficiency"]) == mean / 9

@@ -45,9 +45,9 @@ RECORDS = {
     ),
     "SuccessPmf": (
         SuccessPmf,
-        ("config", "mass", "kind"),
+        ("config", "counts", "denominator", "kind"),
         lambda: success_pmf(CONFIG),
-        (),
+        ("mass",),
     ),
     "FrameMetrics": (
         FrameMetrics,
@@ -179,6 +179,10 @@ def _trace(counts, selected):
     return lambda: FrameTrace(config, mode, counts, selected)
 
 
+def _pmf(counts, denominator, kind="exact"):
+    return lambda: SuccessPmf(CONFIG, counts, denominator, kind)
+
+
 _ROW_1 = frame_metrics(SystemConfig(8, 4, 1))
 _ROW_2 = frame_metrics(SystemConfig(8, 4, 2))
 
@@ -204,9 +208,14 @@ _ROW_2 = frame_metrics(SystemConfig(8, 4, 2))
         (_trace((2, 0, 0), (0,)), "sum to the number of users"),
         (_trace((1, 1, 1), (0, 1)), "min(eligible, data_slots)"),
         (_trace((2, 1, 0), (2,)), "must be eligible"),
+        (_pmf((1, 1), 2), "max_successes + 1 = 5 entries, got 2"),
+        (_pmf((2, -1, 0, 0, 0), 1), "must be non-negative"),
+        (_pmf((1, 1, 0, 0, 0), 4), "sum to the denominator 4, got 2"),
+        (_pmf((0, 0, 0, 0, 0), 0), "denominator must be >= 1, got 0"),
+        (_pmf((1, 2, 0, 0, 0), 3), "3 of an exact law must divide tokens**users"),
         (lambda: EmpiricalReport(PARAMS, (5,)), "max_successes + 1 = 5 entries, got 1"),
         (lambda: EmpiricalReport(PARAMS, (201, -1, 0, 0, 0)), "must be non-negative"),
-        (lambda: EmpiricalReport(PARAMS, (5, 0, 0, 0, 0)), "sum to the 200 iterations"),
+        (lambda: EmpiricalReport(PARAMS, (5, 0, 0, 0, 0)), "sum to the denominator 200"),
     ],
 )
 def test_post_init_rejections_still_fire(build, message):

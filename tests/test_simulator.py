@@ -15,12 +15,14 @@ from hypothesis import strategies as st
 
 from accessframe.analysis import (
     PmfKind,
+    SuccessPmf,
     SystemConfig,
     outcome_probability,
     success_pmf,
 )
 from accessframe.simulator import (
     RNG_ALGORITHM,
+    ComparisonRecord,
     DetectionMode,
     EmpiricalReport,
     FrameTrace,
@@ -30,7 +32,7 @@ from accessframe.simulator import (
     make_rng,
     simulate_frame,
 )
-from accessframe.simulator import _GRANT_CELLS, _grant_law, _walk_states
+from accessframe.simulator import _GRANT_CELLS, _compare, _grant_law, _walk_states
 from oracles import brute_force_ternary_pmf
 
 
@@ -269,7 +271,7 @@ def test_estimate_pmf_masses_are_count_fractions():
     report = estimate_pmf(params)
     assert report.pmf_hat.kind is PmfKind.EMPIRICAL
     assert sum(report.counts) == 4000
-    assert report.pmf_hat.total() == 1
+    assert sum(report.pmf_hat.mass) == 1
     for count, mass in zip(report.counts, report.pmf_hat.mass):
         assert mass == Fraction(count, 4000)
     assert report.mean_successes == sum(
@@ -415,6 +417,39 @@ def test_compare_to_exact_small_at_reference_size():
         record = compare_to_exact(estimate_pmf(params))
         assert 0 <= record.tv_distance <= Fraction(1, 100)
         assert record.max_abs_mass_error <= 2 * record.tv_distance
+
+
+@st.composite
+def _two_laws(draw):
+    """A config and two count vectors over its outcomes, each with a
+    positive total, so over denominators that mostly differ."""
+    config = SystemConfig(draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+                          draw(st.integers(0, 4)))
+    laws = [
+        draw(
+            st.lists(st.integers(0, 50), min_size=config.max_successes + 1,
+                     max_size=config.max_successes + 1).filter(any)
+        )
+        for _ in range(2)
+    ]
+    return config, *laws
+
+
+@settings(deadline=None)
+@given(_two_laws())
+def test_compare_equals_the_mass_by_mass_fraction_distance(laws):
+    config, simulated, reference = laws
+    frames = sum(simulated)
+    report = EmpiricalReport(SimParams(config, iterations=frames, seed=0), simulated)
+    exact = SuccessPmf(config, reference, sum(reference), PmfKind.EMPIRICAL)
+    # the reference arithmetic: one Fraction gap per mass
+    gaps = [
+        abs(Fraction(c, frames) - Fraction(e, sum(reference)))
+        for c, e in zip(simulated, reference)
+    ]
+    assert _compare(report, exact) == ComparisonRecord(
+        report.params, sum(gaps) / 2, max(gaps)
+    )
 
 
 def test_compare_rejects_ternary():
