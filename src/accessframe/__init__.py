@@ -29,11 +29,9 @@ _EXPORTS = {
         "Axis",
         "FrameMetrics",
         "SweepReport",
-        "efficiency",
         "expected_successes",
         "frame_metrics",
         "optimal_data_slots",
-        "success_rate",
         "sweep",
     ),
     "simulator": (

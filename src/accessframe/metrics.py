@@ -1,6 +1,9 @@
 """Frame-level performance metrics and parameter sweeps.
 
-Two scalar summaries of the success count S:
+One entry per question: :func:`frame_metrics` for one configuration,
+:func:`sweep` for an axis, :func:`optimal_data_slots` for the best data
+phase and :func:`expected_successes` for the bare mean.  Two scalar
+summaries of the success count S:
 
 * success rate, the probability that a given user gets its packet
   through, i.e. expected successes divided by the number of users;
@@ -32,8 +35,9 @@ from collections.abc import Callable, Iterable, Sequence
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
+from numbers import Rational
+from operator import attrgetter, mul
 from operator import index as as_int
-from operator import mul
 
 from .analysis import CSV_HEADER, Record, SystemConfig, csv_fields, json_rational
 from .combinatorics import exact_work, refuse_oversized, surjection_rows
@@ -44,8 +48,6 @@ __all__ = [
     "SweepReport",
     "CSV_HEADER",
     "expected_successes",
-    "success_rate",
-    "efficiency",
     "frame_metrics",
     "sweep",
     "optimal_data_slots",
@@ -61,16 +63,21 @@ class Axis(str, Enum):
 class FrameMetrics(Record):
     """Exact per-frame summary for one configuration: the mean success
     count E, with the success rate E / users and the efficiency
-    E / frame_slots read off it.  Needs at least one user, and E can be
-    neither negative nor above min(data_slots, users)."""
+    E / frame_slots read off it.  Needs at least one user, and E is a
+    rational (kept as a ``Fraction``) in [0, config.max_successes]."""
 
     config: SystemConfig
     expected_successes: Fraction
 
     def __post_init__(self) -> None:
+        mean = self.expected_successes
+        if type(mean) is not Fraction:  # the common case skips the ABC check
+            if not isinstance(mean, Rational):
+                raise ValueError(f"expected successes must be rational, got {mean!r}")
+            object.__setattr__(self, "expected_successes", Fraction(mean))
         if self.config.users < 1:
             raise ValueError("success rate needs at least one user")
-        most = min(self.config.data_slots, self.config.users)
+        most = self.config.max_successes
         if not 0 <= self.expected_successes <= most:
             raise ValueError(
                 f"expected successes {self.expected_successes} outside [0, {most}]"
@@ -169,21 +176,6 @@ def expected_successes(config: SystemConfig) -> Fraction:
     return Fraction(numerator(config.data_slots), config.tokens**config.users)
 
 
-def success_rate(config: SystemConfig) -> Fraction:
-    """Per-user success probability: expected successes over users.
-
-    Undefined without users; rejects users == 0.
-    """
-    if config.users < 1:
-        raise ValueError("success rate needs at least one user")
-    return expected_successes(config) / config.users
-
-
-def efficiency(config: SystemConfig) -> Fraction:
-    """Expected successes per access-frame slot (contention slot included)."""
-    return expected_successes(config) / config.frame_slots
-
-
 def frame_metrics(config: SystemConfig) -> FrameMetrics:
     """All three summaries from a single evaluation of the mean."""
     return FrameMetrics(config, expected_successes(config))
@@ -197,17 +189,25 @@ def _check_increasing(values: tuple[int, ...]) -> None:
 class SweepReport(Record):
     """Metrics tabulated along one axis, everything else held fixed.
 
-    ``base`` supplies the fixed fields; the swept field's value in
-    ``base`` is irrelevant (each row replaces it), and ``values`` reads
-    it off the rows.  Rows come sorted by the axis, one per value,
-    duplicates rejected.
+    There is at least one row.  Every row agrees with the first on the
+    fixed fields, and ``fixed`` reads them off it; ``values`` reads the
+    swept field off each row.  Rows come sorted by the axis, one per
+    value, duplicates rejected.  The axis may be given by its value and
+    the rows as any sequence.
     """
 
-    base: SystemConfig
     axis: Axis
     rows: tuple[FrameMetrics, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "axis", Axis(self.axis))
+        object.__setattr__(self, "rows", tuple(self.rows))
+        if not self.rows:
+            raise ValueError("sweep needs at least one axis value")
+        held = attrgetter(*(f for f in SystemConfig._fields if f != self.axis.value))
+        first = held(self.rows[0].config)
+        if any(held(row.config) != first for row in self.rows):
+            raise ValueError(f"every row must hold {self.fixed} fixed")
         _check_increasing(self.values)
 
     @property
@@ -218,7 +218,7 @@ class SweepReport(Record):
     @property
     def fixed(self) -> dict:
         """The configuration fields the sweep holds constant."""
-        out = self.base.to_json_dict()
+        out = self.rows[0].config.to_json_dict()
         del out[{"users": "T", "data_slots": "K"}[self.axis.value]]
         return out
 
@@ -244,6 +244,7 @@ class SweepReport(Record):
 def sweep(base: SystemConfig, axis: Axis | str, values: Iterable[int]) -> SweepReport:
     """Evaluate exact metrics for each value of the swept axis.
 
+    ``base`` supplies the fields held fixed; its swept field is ignored.
     ``values`` must be non-empty and strictly increasing (so the report
     is sorted and duplicate-free by construction).  Invalid values fail
     with the corresponding configuration error.
@@ -270,7 +271,7 @@ def sweep(base: SystemConfig, axis: Axis | str, values: Iterable[int]) -> SweepR
         assignments = base.tokens**base.users
         means = [Fraction(numerator(k), assignments) for k in values]
     rows = tuple(FrameMetrics(c, e) for c, e in zip(configs, means))
-    return SweepReport(base=base, axis=axis, rows=rows)
+    return SweepReport(axis=axis, rows=rows)
 
 
 def optimal_data_slots(tokens: int, users: int, k_max: int) -> tuple[int, Fraction]:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from accessframe.analysis import SystemConfig, success_pmf
 from accessframe.combinatorics import stirling2_assoc
-from accessframe.metrics import optimal_data_slots, success_rate
+from accessframe.metrics import optimal_data_slots, sweep
 from accessframe.simulator import SimParams, compare_to_exact, estimate_pmf
 
 from oracles import brute_force_pmf, min_size2_partition_counts
@@ -99,7 +99,10 @@ def test_acceptance_simulation_convergence():
 def test_acceptance_success_rate_shape():
     slot_choices = (4, 8, 16)
     rates = {
-        slots: [success_rate(SystemConfig(8, slots, users)) for users in range(1, 31)]
+        slots: [
+            row.success_rate
+            for row in sweep(SystemConfig(8, slots, 1), "users", range(1, 31)).rows
+        ]
         for slots in slot_choices
     }
     monotone_in_users = all(

@@ -16,33 +16,30 @@ from accessframe.metrics import (
     CSV_HEADER,
     Axis,
     FrameMetrics,
-    efficiency,
     expected_successes,
     frame_metrics,
     optimal_data_slots,
-    success_rate,
     sweep,
 )
 from oracles import expected_successes_by_occupancy
 
 
 def test_success_rate_values():
-    assert success_rate(SystemConfig(2, 1, 2)) == Fraction(1, 4)
-    assert success_rate(SystemConfig(2, 2, 2)) == Fraction(1, 2)
-    assert success_rate(SystemConfig(8, 4, 1)) == 1
+    assert frame_metrics(SystemConfig(2, 1, 2)).success_rate == Fraction(1, 4)
+    assert frame_metrics(SystemConfig(2, 2, 2)).success_rate == Fraction(1, 2)
+    assert frame_metrics(SystemConfig(8, 4, 1)).success_rate == 1
 
 
 def test_success_rate_needs_users():
-    for call in (success_rate, frame_metrics):
-        with pytest.raises(ValueError, match="success rate needs at least one user"):
-            call(SystemConfig(4, 2, 0))
+    with pytest.raises(ValueError, match="success rate needs at least one user"):
+        frame_metrics(SystemConfig(4, 2, 0))
 
 
 def test_efficiency_values():
-    assert efficiency(SystemConfig(2, 1, 2)) == Fraction(1, 4)
-    assert efficiency(SystemConfig(8, 4, 1)) == Fraction(1, 5)
-    assert efficiency(SystemConfig(2, 2, 2)) == Fraction(1, 3)
-    assert efficiency(SystemConfig(4, 2, 0)) == 0  # defined without users
+    assert frame_metrics(SystemConfig(2, 1, 2)).efficiency == Fraction(1, 4)
+    assert frame_metrics(SystemConfig(8, 4, 1)).efficiency == Fraction(1, 5)
+    assert frame_metrics(SystemConfig(2, 2, 2)).efficiency == Fraction(1, 3)
+    assert expected_successes(SystemConfig(4, 2, 0)) == 0  # defined without users
 
 
 def test_rate_and_efficiency_share_the_mean():
@@ -50,14 +47,14 @@ def test_rate_and_efficiency_share_the_mean():
         for slots in (1, 4, 9):
             for users in (1, 5, 12):
                 cfg = SystemConfig(tokens, slots, users)
-                mean = expected_successes(cfg)
-                assert success_rate(cfg) * users == mean
-                assert efficiency(cfg) * (slots + 1) == mean
+                mean, report = expected_successes(cfg), frame_metrics(cfg)
+                assert report.success_rate * users == mean
+                assert report.efficiency * (slots + 1) == mean
 
 
 def test_frame_metrics_consistency():
     report = frame_metrics(SystemConfig(8, 4, 12))
-    assert report.expected_successes == success_rate(SystemConfig(8, 4, 12)) * 12
+    assert report.expected_successes == report.success_rate * 12
     assert report.efficiency == report.expected_successes / 5
     assert 0 <= report.success_rate <= 1
 
@@ -169,7 +166,7 @@ def test_optimal_data_slots_is_exhaustively_optimal():
     ]:
         best_k, best_rho = optimal_data_slots(tokens, users, k_max)
         for k in range(1, k_max + 1):
-            rho = efficiency(SystemConfig(tokens, k, users))
+            rho = frame_metrics(SystemConfig(tokens, k, users)).efficiency
             assert rho <= best_rho
             if rho == best_rho:
                 assert best_k <= k  # ties break to the shorter frame
@@ -231,7 +228,7 @@ def test_scans_equal_fresh_metrics_per_row():
     for row in by_users.rows + by_slots.rows:
         assert row == frame_metrics(row.config)
     best_k, best_rho = optimal_data_slots(24, 40, 30)
-    assert best_rho == efficiency(SystemConfig(24, best_k, 40))
+    assert best_rho == frame_metrics(SystemConfig(24, best_k, 40)).efficiency
 
 
 def test_metrics_refuse_oversized_inputs_before_building(monkeypatch):

@@ -57,7 +57,7 @@ RECORDS = {
     ),
     "SweepReport": (
         SweepReport,
-        ("base", "axis", "rows"),
+        ("axis", "rows"),
         lambda: sweep(CONFIG, Axis.USERS, [1, 2, 3]),
         ("values", "fixed"),
     ),
@@ -164,14 +164,18 @@ def test_post_init_normalises_fields():
     assert params.mode is DetectionMode.TERNARY and type(params.seed) is int
     with pytest.raises(TypeError):
         SystemConfig(8.0, 4, 12)
+    report = SweepReport("users", [frame_metrics(CONFIG)])
+    assert report.axis is Axis.USERS and report.fixed == {"M": 8, "K": 4}
+    assert report == SweepReport(Axis.USERS, (frame_metrics(CONFIG),))
+    assert hash(report) == hash(SweepReport(Axis.USERS, (frame_metrics(CONFIG),)))
 
 
 def _metrics(expected, config=SystemConfig(2, 1, 2)):
     return lambda: FrameMetrics(config, expected)
 
 
-def _sweep(rows):
-    return lambda: SweepReport(SystemConfig(8, 4, 12), Axis.USERS, rows)
+def _sweep(rows, axis=Axis.USERS):
+    return lambda: SweepReport(axis, rows)
 
 
 def _trace(counts, selected):
@@ -185,6 +189,7 @@ def _pmf(counts, denominator, kind="exact"):
 
 _ROW_1 = frame_metrics(SystemConfig(8, 4, 1))
 _ROW_2 = frame_metrics(SystemConfig(8, 4, 2))
+_SLOTS_1 = frame_metrics(SystemConfig(8, 1, 12))
 
 
 @pytest.mark.parametrize(
@@ -194,14 +199,24 @@ _ROW_2 = frame_metrics(SystemConfig(8, 4, 2))
         (lambda: SystemConfig(8, 0, 12), "data_slots must be >= 1"),
         (lambda: SystemConfig(8, 4, -1), "users must be >= 0"),
         (lambda: CONFIG.replace(users=-1), "users must be >= 0"),
-        # a rate above 1, E < 0, E > T, E > K, and no users
+        # a rate above 1, E < 0, E > T, E > K, E > M, and no users
         (_metrics(Fraction(3)), "outside [0, 1]"),
         (_metrics(Fraction(-1, 4)), "-1/4 outside [0, 1]"),
         (_metrics(Fraction(3), SystemConfig(2, 4, 2)), "outside [0, 2]"),
         (_metrics(Fraction(3, 2), SystemConfig(4, 1, 3)), "3/2 outside [0, 1]"),
+        (_metrics(Fraction(5), SystemConfig(2, 8, 8)), "5 outside [0, 2]"),
         (_metrics(Fraction(0), SystemConfig(2, 1, 0)), "at least one user"),
         (_sweep((_ROW_2, _ROW_1)), "strictly increasing"),
         (_sweep((_ROW_1, _ROW_1)), "must be strictly increasing"),
+        (_sweep(()), "sweep needs at least one axis value"),
+        (
+            _sweep((_ROW_1, frame_metrics(SystemConfig(9, 4, 2)))),
+            "every row must hold {'M': 8, 'K': 4} fixed",
+        ),
+        (
+            _sweep((_SLOTS_1, frame_metrics(SystemConfig(8, 2, 13))), Axis.DATA_SLOTS),
+            "every row must hold {'M': 8, 'T': 12} fixed",
+        ),
         (lambda: SimParams(CONFIG, iterations=0, seed=1), "iterations must be"),
         (lambda: SimParams(CONFIG, iterations=1, seed=2**64), "unsigned 64-bit"),
         (_trace((3, 0), (0,)), "one count per token"),
@@ -223,13 +238,33 @@ def test_post_init_rejections_still_fire(build, message):
         build()
 
 
-def test_frame_metrics_accept_every_mean_from_zero_to_min_k_t():
+def test_frame_metrics_accept_every_mean_from_zero_to_max_successes():
     for config in (SystemConfig(2, 1, 2), SystemConfig(2, 4, 2), SystemConfig(4, 1, 3)):
-        most = min(config.data_slots, config.users)
+        most = config.max_successes
         for expected in (Fraction(0), Fraction(most, 3), Fraction(most)):
             metrics = FrameMetrics(config, expected)
             assert metrics.success_rate == expected / config.users
             assert metrics.efficiency == expected / config.frame_slots
+
+
+def test_frame_metrics_keep_a_rational_mean_as_a_fraction():
+    for mean in (1, True, Fraction(1)):
+        metrics = FrameMetrics(CONFIG, mean)
+        assert type(metrics.expected_successes) is Fraction
+        assert '"expected_successes": "1/1"' in metrics.to_json()
+    for mean in (0.5, "1/2", None):
+        with pytest.raises(ValueError, match="expected successes must be rational"):
+            FrameMetrics(CONFIG, mean)
+
+
+def test_sweeps_ignore_the_swept_field_of_their_base():
+    for axis, first, second in (
+        ("users", SystemConfig(8, 4, 1), SystemConfig(8, 4, 7)),
+        ("data_slots", SystemConfig(8, 1, 12), SystemConfig(8, 6, 12)),
+    ):
+        a, b = sweep(first, axis, [1, 2]), sweep(second, axis, [1, 2])
+        assert a == b and hash(a) == hash(b)
+        assert a.to_json() == b.to_json() and a.to_csv() == b.to_csv()
 
 
 #: Configurations on which the derived attributes are pinned, and the
