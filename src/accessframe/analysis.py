@@ -206,14 +206,28 @@ def json_rational(value: Fraction | None) -> str | None:
 
 def parse_rational(text: str) -> Fraction:
     """``Fraction(text)``, also for a ``"numerator/denominator"`` string
-    too long for it (the inverse of :func:`json_rational`)."""
+    too long for it (the inverse of :func:`json_rational`).  Anything else
+    (not a string, malformed, or over a zero denominator) raises
+    ``ValueError``."""
+    if not isinstance(text, str):
+        raise ValueError(f"a rational must be a string, got {text!r}")
     try:
         return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
     except ValueError:
         numerator, slash, denominator = text.partition("/")
-        if not slash:
+        # the denominator is unsigned, as Fraction reads it
+        if not (slash and denominator.isascii() and denominator.isdigit()):
             raise
+    if not denominator.strip("0"):
+        raise ValueError("zero denominator in a rational past the digit limit")
     return Fraction(_parse_decimal(numerator), _parse_decimal(denominator))
+
+
+def _is_int(value) -> bool:
+    """True for a JSON integer; ``bool`` is an ``int`` subclass but not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 #: Column order shared by every tabular export in the package.
@@ -395,13 +409,19 @@ class SuccessPmf(Record):
         put over the least common multiple of their denominators, so a
         document that is not a law is refused like any other record."""
         payload = json.loads(text)
-        config = SystemConfig(
-            tokens=payload["M"], data_slots=payload["K"], users=payload["T"]
-        )
-        mass = [parse_rational(p) for p in payload["mass"]]
+        fields = ("M", "K", "T", "kind", "mass")
+        if not isinstance(payload, dict) or not payload.keys() >= set(fields):
+            raise ValueError(f"a pmf document is an object with {', '.join(fields)}")
+        m, k, t, kind, masses = map(payload.get, fields)
+        if not all(map(_is_int, (m, k, t))):
+            raise ValueError(f"M, K and T must be integers, got {m!r}, {k!r}, {t!r}")
+        if not isinstance(masses, list):
+            raise ValueError(f"mass must be a list, got {masses!r}")
+        config = SystemConfig(m, k, t)
+        mass = [parse_rational(p) for p in masses]
         denominator = math.lcm(*(p.denominator for p in mass))
         counts = tuple(p.numerator * (denominator // p.denominator) for p in mass)
-        return cls(config, counts, denominator, payload["kind"])
+        return cls(config, counts, denominator, kind)
 
     def to_csv(self) -> str:
         lines = ["d,probability"]

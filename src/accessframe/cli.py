@@ -213,12 +213,9 @@ def _run_metrics(args: argparse.Namespace) -> str:
     return report.to_csv() if args.format == "csv" else report.to_json()
 
 
-def _is_int(value) -> bool:
-    """True for a JSON integer; ``bool`` is an ``int`` subclass but not one."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _parse_range(value) -> tuple[int, int]:
+    from .analysis import _is_int
+
     if isinstance(value, str):
         lo, sep, hi = value.partition(":")
         try:
@@ -235,7 +232,7 @@ def _parse_range(value) -> tuple[int, int]:
 def _run_sweep(args: argparse.Namespace) -> str:
     import json
 
-    from .analysis import SystemConfig
+    from .analysis import SystemConfig, _is_int
     from .metrics import Axis
 
     merged: dict = {}

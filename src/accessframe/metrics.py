@@ -21,17 +21,23 @@ with surj(n, j) the number of maps from n users onto j tokens (the other
 T - 1 users cover the other a - 1 active tokens).  That reads one row of
 :func:`~accessframe.combinatorics.surjection_rows`, capped at min(M, T)
 columns, and the row does not depend on K.  Every result is an exact
-rational.  :func:`optimal_data_slots` and a data-slots :func:`sweep`
-build the row once and read every K from it; a users :func:`sweep` rolls
-the row forward one user at a time.  Inputs whose row and sums would
-cost too much are refused before any row is built (see
-:func:`~accessframe.combinatorics.exact_work`).
+rational.
+
+All four entries read one grid of E[S] * M**T over user counts and data
+slots.  One roll yields the rows of every user count wanted, from row
+min(users) - 1, so a users :func:`sweep` rolls once; a data-slots
+:func:`sweep`, :func:`optimal_data_slots` and :func:`expected_successes`
+read a single row.  Once a row is read, each K costs O(1) bigint
+operations: min(a, K) counts the j < K below a, so the sum over a is a
+prefix sum, up to K, of the suffix sums sum_{a > j} of its terms.
+Inputs whose rows and sums would cost too much are refused before any
+row is built (see :func:`~accessframe.combinatorics.exact_work`).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
@@ -74,14 +80,14 @@ class FrameMetrics(Record):
         if type(mean) is not Fraction:  # the common case skips the ABC check
             if not isinstance(mean, Rational):
                 raise ValueError(f"expected successes must be rational, got {mean!r}")
-            object.__setattr__(self, "expected_successes", Fraction(mean))
+            mean = Fraction(mean)
+            object.__setattr__(self, "expected_successes", mean)
         if self.config.users < 1:
             raise ValueError("success rate needs at least one user")
         most = self.config.max_successes
-        if not 0 <= self.expected_successes <= most:
-            raise ValueError(
-                f"expected successes {self.expected_successes} outside [0, {most}]"
-            )
+        # in integers: a Fraction's denominator is positive
+        if not 0 <= mean.numerator <= most * mean.denominator:
+            raise ValueError(f"expected successes {mean} outside [0, {most}]")
 
     @property
     def success_rate(self) -> Fraction:
@@ -129,51 +135,41 @@ def _refuse_oversized(tokens: int, users: Sequence[int], means_per_row: int) -> 
     )
 
 
-def _numerators_by_slots(tokens: int, users: int) -> Callable[[int], int]:
-    """E[S] * tokens**users at fixed tokens and users, as a function of
-    the data slots.
+def _numerators(
+    tokens: int, users: Sequence[int], slots: Sequence[int]
+) -> list[list[int]]:
+    """E[S] * tokens**t for each t of ``users``, strictly increasing from
+    1 or more, at each K of ``slots``: one list per user count.
 
-    With w_a = C(M, a) * surj(T - 1, a - 1) the sum in the module
-    docstring splits at K into sum_{a <= K} a * w_a + K * sum_{a > K} w_a;
-    both parts are prefix sums over a, so every K costs O(1) bigint
-    operations once the row is built.
+    One roll yields rows min(users) - 1 .. max(users) - 1.  With
+    w_a = C(M, a) * surj(t - 1, a - 1), the sum in the module docstring
+    is t * sum_a min(a, K) * w_a = t * sum_{j < K} sum_{a > j} w_a, read
+    at each K from one prefix sum of the suffix sums.
     """
-    if users == 0:
-        return lambda slots: 0
-    width = min(tokens, users)
-    (row,) = surjection_rows(range(users - 1, users), width - 1)
-    weights = [math.comb(tokens, a) * n for a, n in enumerate(row, start=1)]
-    below = list(accumulate(map(mul, range(1, width + 1), weights), initial=0))
-    above = list(accumulate(reversed(weights), initial=0))[::-1]
-
-    def numerator(slots: int) -> int:
-        k = min(slots, width)
-        return users * (below[k] + k * above[k])
-
-    return numerator
-
-
-def _means_by_users(tokens: int, slots: int, users: tuple[int, ...]) -> list[Fraction]:
-    """E[S] for each of ``users``, strictly increasing from 1 or more, at
-    fixed tokens and data slots, from one pass over the surjection rows
-    from the first user count to the last."""
     lo, top = users[0], users[-1]
     width = min(tokens, top)
+    occupancies = [math.comb(tokens, a) for a in range(1, width + 1)]
     wanted = set(users)
-    coefficients = [math.comb(tokens, a) * min(a, slots) for a in range(1, width + 1)]
-    means = []
+    grid = []
     for t, row in enumerate(surjection_rows(range(lo - 1, top), width - 1), start=lo):
-        if t in wanted:
-            means.append(Fraction(t * sum(map(mul, coefficients, row)), tokens**t))
-    return means
+        if t not in wanted:
+            continue
+        # row t - 1 has min(tokens, t) columns; past them every w_a is 0
+        above = list(accumulate(reversed(list(map(mul, occupancies, row)))))
+        above.reverse()
+        sums = list(accumulate(above, initial=0))
+        grid.append([t * sums[min(k, len(row))] for k in slots])
+    return grid
 
 
 def expected_successes(config: SystemConfig) -> Fraction:
     """Exact mean of the per-frame success count, from one surjection row
     (see the module docstring); no pmf is built."""
     _refuse_oversized(config.tokens, (config.users,), 1)
-    numerator = _numerators_by_slots(config.tokens, config.users)
-    return Fraction(numerator(config.data_slots), config.tokens**config.users)
+    if config.users == 0:
+        return Fraction(0)
+    ((numerator,),) = _numerators(config.tokens, (config.users,), (config.data_slots,))
+    return Fraction(numerator, config.tokens**config.users)
 
 
 def frame_metrics(config: SystemConfig) -> FrameMetrics:
@@ -255,23 +251,18 @@ def sweep(base: SystemConfig, axis: Axis | str, values: Iterable[int]) -> SweepR
     if not values:
         raise ValueError("sweep needs at least one axis value")
     if axis is Axis.USERS:
-        _refuse_oversized(base.tokens, values, 1)
+        users, slots = values, (base.data_slots,)
     else:
-        _refuse_oversized(base.tokens, (base.users,), len(values))
-    values = tuple(values)
+        users, slots = (base.users,), values
+    _refuse_oversized(base.tokens, users, len(slots))
     configs = [base.replace(**{axis.value: v}) for v in values]
     # rows without users or out of order fail anyway: fail before the roll
-    if min(c.users for c in configs) < 1:
+    if min(users) < 1:
         raise ValueError("success rate needs at least one user")
     _check_increasing(values)
-    if axis is Axis.USERS:
-        means = _means_by_users(base.tokens, base.data_slots, values)
-    else:
-        numerator = _numerators_by_slots(base.tokens, base.users)
-        assignments = base.tokens**base.users
-        means = [Fraction(numerator(k), assignments) for k in values]
-    rows = tuple(FrameMetrics(c, e) for c, e in zip(configs, means))
-    return SweepReport(axis=axis, rows=rows)
+    grid = _numerators(base.tokens, users, slots)
+    means = [Fraction(n, base.tokens**t) for t, row in zip(users, grid) for n in row]
+    return SweepReport(axis, map(FrameMetrics, configs, means))
 
 
 def optimal_data_slots(tokens: int, users: int, k_max: int) -> tuple[int, Fraction]:
@@ -289,12 +280,11 @@ def optimal_data_slots(tokens: int, users: int, k_max: int) -> tuple[int, Fracti
         raise ValueError("tokens, users and k_max must all be >= 1")
     scan = min(k_max, tokens, users)
     _refuse_oversized(tokens, (users,), 1)
-    numerator = _numerators_by_slots(tokens, users)
+    ((first, *rest),) = _numerators(tokens, (users,), range(1, scan + 1))
     # efficiency is numerator(k) / ((k + 1) * tokens**users): compare the
     # candidates by cross-multiplying and reduce only the winner
-    best_k, best = 1, numerator(1)
-    for k in range(2, scan + 1):
-        n = numerator(k)
+    best_k, best = 1, first
+    for k, n in enumerate(rest, start=2):
         if n * (best_k + 1) > best * (k + 1):
             best_k, best = k, n
     return best_k, Fraction(best, (best_k + 1) * tokens**users)

@@ -311,6 +311,11 @@ def test_parse_rational_still_rejects_malformed_text():
     for text in ("", "1/", "/2", "a/b", "1/2/3", "1" * 5000 + "x/3"):
         with pytest.raises(ValueError):
             parse_rational(text)
+    # a zero or signed denominator, short or past the digit limit, and
+    # anything that is not a string
+    for text in ("1/0", "1" * 5000 + "/0", "1/-2", "1" * 5000 + "/-2", 0.5, 1, None):
+        with pytest.raises(ValueError):
+            parse_rational(text)
 
 
 def test_pmf_json_round_trip_past_the_str_limit():
@@ -341,6 +346,10 @@ def test_pmf_json_rejects_unknown_kind():
         SuccessPmf.from_json(text)
 
 
+#: a field left out of the document
+ABSENT = object()
+
+
 @pytest.mark.parametrize(
     "config, kind, mass, message",
     [
@@ -352,11 +361,19 @@ def test_pmf_json_rejects_unknown_kind():
         ((2, 1, 2), "exact", ["1/3", "2/3"], "denominator 3 of an exact law"),
         # tokens**users is never built: 2**(10**18) has 3 * 10**17 digits
         ((2, 1, 10**18), "exact", ["1/3", "2/3"], "denominator 3 of an exact law"),
+        ((2, 1, 2), "exact", ["1/0", "1/2"], "zero denominator"),
+        ((2, 1, 2), "exact", ABSENT, "an object with M, K, T, kind, mass"),
+        ((2, 1, 2), "exact", "1/2", "mass must be a list"),
+        ((2.0, 1, 2), "exact", ["1/2", "1/2"], "must be integers, got 2.0"),
+        (("2", 1, 2), "exact", ["1/2", "1/2"], "must be integers, got '2'"),
+        ((True, 1, 2), "exact", ["1/2", "1/2"], "must be integers, got True"),
+        ((2, 1, 2), "empirical", [0.5, 0.5], "must be a string, got 0.5"),
     ],
 )
 def test_pmf_json_rejects_documents_that_are_not_a_law(config, kind, mass, message):
     m, k, t = config
-    text = json.dumps({"M": m, "K": k, "T": t, "kind": kind, "mass": mass})
+    payload = {"M": m, "K": k, "T": t, "kind": kind, "mass": mass}
+    text = json.dumps({key: v for key, v in payload.items() if v is not ABSENT})
     with pytest.raises(ValueError, match=re.escape(message)):
         SuccessPmf.from_json(text)
 

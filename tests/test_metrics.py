@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -176,30 +177,51 @@ def test_optimal_data_slots_stops_once_slots_cover_active_tokens(monkeypatch):
     # past K = min(M, T) the mean is constant and efficiency only falls;
     # the scan reads every K from one surjection row
     slots_read, rows_built = [], []
-    numerators_by_slots = metrics._numerators_by_slots
+    numerators = metrics._numerators
     surjection_rows = metrics.surjection_rows
 
-    def counting_numerators(tokens, users):
-        numerator = numerators_by_slots(tokens, users)
-
-        def counted(slots):
-            slots_read.append(slots)
-            return numerator(slots)
-
-        return counted
+    def counting_numerators(tokens, users, slots):
+        slots_read.extend(slots)
+        return numerators(tokens, users, slots)
 
     def counting_rows(rows, cols):
-        rows_built.append((rows, cols))
+        rows_built.extend(rows)
         return surjection_rows(rows, cols)
 
-    monkeypatch.setattr(metrics, "_numerators_by_slots", counting_numerators)
+    monkeypatch.setattr(metrics, "_numerators", counting_numerators)
     monkeypatch.setattr(metrics, "surjection_rows", counting_rows)
     for tokens, users in [(8, 12), (12, 5), (3, 3)]:
         slots_read.clear()
         rows_built.clear()
         optimal_data_slots(tokens, users, 50)
         assert slots_read == list(range(1, min(tokens, users) + 1))
-        assert len(rows_built) == 1
+        assert rows_built == [users - 1]
+
+
+def _surjections(n, j):
+    # inclusion-exclusion, independent of the roll
+    return sum((-1) ** (j - i) * comb(j, i) * i**n for i in range(j + 1))
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 12),
+    st.sets(st.integers(1, 20), min_size=1),
+    st.sets(st.integers(1, 25), min_size=1),
+)
+def test_every_grid_entry_is_the_direct_sum(tokens, users, slots):
+    # K runs past min(M, t) as well as below it
+    users, slots = sorted(users), sorted(slots)
+    grid = metrics._numerators(tokens, users, slots)
+    assert len(grid) == len(users)
+    for t, row in zip(users, grid):
+        assert row == [
+            t * sum(
+                comb(tokens, a) * min(a, k) * _surjections(t - 1, a - 1)
+                for a in range(1, tokens + 1)
+            )
+            for k in slots
+        ]
 
 
 def test_expected_successes_is_the_pmf_mean():
