@@ -21,10 +21,8 @@ _EXPORTS = {
         "PmfKind",
         "SuccessPmf",
         "SystemConfig",
-        "outcome_probability",
         "success_pmf",
     ),
-    "combinatorics": ("stirling2_assoc",),
     "metrics": (
         "Axis",
         "FrameMetrics",

@@ -28,6 +28,9 @@ Inverting the moments gives the counts,
 Inputs whose roll, sums and reductions would cost too much are refused
 before any work starts (see :func:`~accessframe.combinatorics.exact_work`).
 All arithmetic is on exact integers, so the masses sum to exactly 1.
+
+:func:`outcome_probability`, the law of the contention split, reads a
+window of the same roll; only the benchmark's ternary oracle calls it.
 """
 
 from __future__ import annotations
@@ -39,18 +42,12 @@ from fractions import Fraction
 from operator import index as as_int
 from operator import mul, sub
 
-from .combinatorics import (
-    exact_work,
-    refuse_oversized,
-    stirling2_assoc,
-    surjection_rows,
-)
+from .combinatorics import exact_work, refuse_oversized, surjection_rows
 
 __all__ = [
     "SystemConfig",
     "PmfKind",
     "SuccessPmf",
-    "outcome_probability",
     "success_pmf",
 ]
 
@@ -261,10 +258,15 @@ class PmfKind(str, Enum):
 def outcome_probability(config: SystemConfig, singles: int, collisions: int) -> Fraction:
     """Exact probability that contention splits the active tokens into
     exactly ``singles`` single-user tokens and ``collisions`` multi-user
-    tokens.
+    tokens: the law the benchmark's ternary oracle sums.
 
-    Infeasible splits (for example singles + 2*collisions > users) have
-    probability zero; a split claiming more tokens than exist is an error.
+    Of C(M, s) * C(M - s, c) choices of tokens, each is filled in
+    sum_j (-1)**j * C(c, j) * (T)_{s + j} * surj(T - s - j, c - j) ways
+    (inclusion-exclusion over j collision tokens left with one user),
+    reading surjection rows T - s - c .. T - s capped at c columns.
+    Infeasible splits (for example s + 2c > T) have probability zero and
+    roll nothing; a split claiming more tokens than exist, or a roll over
+    the cost limit, raises ``ValueError``.
     """
     if singles < 0 or collisions < 0:
         raise ValueError("singles and collisions must be non-negative")
@@ -272,14 +274,27 @@ def outcome_probability(config: SystemConfig, singles: int, collisions: int) -> 
         raise ValueError(
             f"{singles} + {collisions} active tokens exceed {config.tokens}"
         )
-    # C(M, s) single tokens filled by distinct users, and (M - s)_c
-    # ordered collision tokens to label the blocks of the other users
-    partitions = stirling2_assoc(config.users - singles, collisions)
+    rest = config.users - singles
+    if 2 * collisions > rest or collisions == 0 < rest:
+        return Fraction(0)
+    refuse_oversized(
+        exact_work(rest, collisions),
+        f"surjection counts up to n={rest} in {collisions} columns",
+    )
+    # row rest - collisions + i of the window is read at column i, with
+    # i = collisions - j collision tokens holding two users or more
+    window = surjection_rows(range(rest - collisions, rest + 1), collisions)
+    filled = sum(
+        (-1) ** (collisions - i)
+        * math.comb(collisions, i)
+        * math.perm(config.users, singles + collisions - i)
+        * row[i]
+        for i, row in enumerate(window)
+    )
     count = (
         math.comb(config.tokens, singles)
-        * math.perm(config.users, singles)
-        * math.perm(config.tokens - singles, collisions)
-        * partitions
+        * math.comb(config.tokens - singles, collisions)
+        * filled
     )
     return Fraction(count, config.tokens**config.users)
 

@@ -1,9 +1,9 @@
-"""Exact combinatorial primitives on one counting recurrence: the
-surjection numbers, and the 2-associated Stirling numbers read off them,
-with the one cost model every exact computation is held to.
+"""The roll and the cost model of the exact path: the surjection
+numbers on their one counting recurrence, and the one cost model every
+exact computation is held to.
 
-Everything here is integer arithmetic on Python ints, so results are
-exact at any magnitude.  :func:`surjection_rows` rolls their recurrence
+The roll is integer arithmetic on Python ints, so results are exact at
+any magnitude.  :func:`surjection_rows` rolls the recurrence
 forward from row 0 and yields the rows its caller reads, capped at the
 columns the caller reads.  It prices nothing itself: every caller first
 prices its whole plan (a roll, the products and reductions over it, and
@@ -19,7 +19,6 @@ from operator import add, mul
 from collections.abc import Iterable, Iterator
 
 __all__ = [
-    "stirling2_assoc",
     "SURJECTION_WORK_LIMIT",
     "exact_work",
     "refuse_oversized",
@@ -29,34 +28,6 @@ __all__ = [
 
 def _log2_factorial(n: int) -> float:
     return math.lgamma(n + 1) / math.log(2)
-
-
-def stirling2_assoc(n: int, k: int) -> int:
-    """Number of partitions of an n-set into k blocks of size at least two.
-
-    By inclusion-exclusion over the j blocks that are singletons,
-
-        k! * S(n, k) = sum_j (-1)**j * C(k, j) * (n)_j * surj(n - j, k - j),
-
-    which reads surjection rows n - k .. n capped at k columns.  S(0, 0) = 1
-    (the empty partition), and S(n, k) = 0 whenever k > floor(n / 2), k = 0
-    < n or either argument is negative; those need no roll.  Other inputs
-    whose roll :func:`exact_work` prices over :data:`SURJECTION_WORK_LIMIT`
-    raise ``ValueError`` before it starts.
-    """
-    if n < 0 or k < 0 or 2 * k > n:
-        return 0
-    if k == 0:
-        return int(n == 0)
-    refuse_oversized(
-        exact_work(n, k), f"surjection counts up to n={n} in {k} columns"
-    )
-    rows = list(surjection_rows(range(n - k, n + 1), k))
-    labelled = sum(
-        (-1) ** j * math.comb(k, j) * math.perm(n, j) * rows[k - j][k - j]
-        for j in range(k + 1)
-    )
-    return labelled // math.factorial(k)
 
 
 #: Largest estimated cost, in the bit-operations of :func:`exact_work`,
@@ -118,8 +89,13 @@ def exact_work(
     step_count, step_bits = steps
     c, v, e = coefficients
     a = min(v, c // 2)
-    coefficient_bits = (
-        _log2_factorial(c) - _log2_factorial(a) - _log2_factorial(c - a) + e
+    # the lgamma difference is exact to well under a bit below 2**40, but
+    # its two large terms cancel to float noise past 2**53; from 2**40 on
+    # read a * log2(c) - log2(a!), within a**2 / c bits above log2 C(c, a)
+    coefficient_bits = e + (
+        _log2_factorial(c) - _log2_factorial(a) - _log2_factorial(c - a)
+        if c < 2**40
+        else a * math.log2(c) - _log2_factorial(a)
     )
     fixed = (
         weights * _WEIGHT_BITS

@@ -112,6 +112,14 @@ class FrameMetrics(Record):
         return f"{CSV_HEADER}\n{row}\n"
 
 
+def _count(values: Sequence[int]) -> int:
+    """``len(values)`` of a non-empty sequence, also of a range past
+    ``sys.maxsize`` values, where ``len()`` overflows."""
+    if isinstance(values, range):
+        return (values[-1] - values[0]) // values.step + 1
+    return len(values)
+
+
 def _refuse_oversized(tokens: int, users: Sequence[int], means_per_row: int) -> None:
     """Refuse, before any row is built, ``means_per_row`` means at each of
     ``users``: the roll up to the largest, the sum for t users over row
@@ -121,7 +129,7 @@ def _refuse_oversized(tokens: int, users: Sequence[int], means_per_row: int) -> 
     # its number of means alone
     top = max(users[0], users[-1]) if isinstance(users, range) else max(users)
     width = min(tokens, top)
-    means = len(users) * means_per_row
+    means = _count(users) * means_per_row
     work = exact_work(
         top - 1,
         width - 1,
@@ -254,7 +262,7 @@ def sweep(base: SystemConfig, axis: Axis | str, values: Iterable[int]) -> SweepR
         users, slots = values, (base.data_slots,)
     else:
         users, slots = (base.users,), values
-    _refuse_oversized(base.tokens, users, len(slots))
+    _refuse_oversized(base.tokens, users, _count(slots))
     configs = [base.replace(**{axis.value: v}) for v in values]
     # rows without users or out of order fail anyway: fail before the roll
     if min(users) < 1:

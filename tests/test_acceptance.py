@@ -9,9 +9,9 @@ from __future__ import annotations
 import subprocess
 import sys
 from fractions import Fraction
+from math import factorial
 
-from accessframe.analysis import SystemConfig, success_pmf
-from accessframe.combinatorics import stirling2_assoc
+from accessframe.analysis import SystemConfig, outcome_probability, success_pmf
 from accessframe.metrics import optimal_data_slots, sweep
 from accessframe.simulator import SimParams, compare_to_exact, estimate_pmf
 
@@ -57,6 +57,14 @@ def test_acceptance_normalization():
         if worst is None
         else f"first violation {worst}",
     )
+
+
+def stirling2_assoc(n: int, k: int) -> Fraction:
+    """S(n, k) = P(0 singles, k collisions | M = max(k, 1), T = n) * M**n / k!:
+    with no singles the k collision tokens label the k blocks of size >= 2."""
+    tokens = max(k, 1)
+    split = outcome_probability(SystemConfig(tokens, 1, n), 0, k)
+    return split * tokens**n / factorial(k)
 
 
 def test_acceptance_stirling_oracle():

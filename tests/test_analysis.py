@@ -7,6 +7,7 @@ import re
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from accessframe import analysis
 from accessframe.combinatorics import SURJECTION_WORK_LIMIT
 from charges import charged_work
 from oracles import (
+    _active_profiles,
     brute_force_pmf,
     expected_successes_by_occupancy,
     hypergeometric_by_enumeration,
@@ -74,6 +76,22 @@ def test_outcome_probabilities_sum_to_one():
             for c in range(tokens - s + 1)
         )
         assert total == 1, (tokens, users)
+
+
+def test_outcome_probability_matches_enumeration():
+    # every split, infeasible ones included, against the frequency of its
+    # (singles, collision tokens) over all tokens**users assignments
+    for tokens in range(1, 6):
+        for users in range(8):
+            splits = Counter()
+            for profile, multiplicity in _active_profiles(tokens, users):
+                singles = profile.count(1)
+                splits[singles, len(profile) - singles] += multiplicity
+            cfg = SystemConfig(tokens, 1, users)
+            for s in range(tokens + 1):
+                for c in range(tokens - s + 1):
+                    expected = Fraction(splits[s, c], tokens**users)
+                    assert outcome_probability(cfg, s, c) == expected, (cfg, s, c)
 
 
 def test_outcome_probability_rejects_impossible_splits():

@@ -132,6 +132,11 @@ def test_oversized_input_exits_one_with_hint(capsys):
         (("metrics", "--tokens", "64", "--slots", "8", "--users", "20000"), exact_hint),
         (("sweep", "--tokens", "8", "--slots", "4", "--users", "12",
           "--axis", "data-slots", "--range", "1:10000000"), exact_hint),
+        # more sweep values than len() of a range can count
+        (("sweep", "--tokens", "8", "--slots", "4", "--users", "12",
+          "--axis", "data-slots", "--range", f"1:{10**20}"), exact_hint),
+        (("sweep", "--tokens", "8", "--slots", "4",
+          "--axis", "users", "--range", f"1:{10**20}"), exact_hint),
     ]:
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
@@ -233,6 +238,23 @@ def test_metrics_fit_where_the_pmf_does_not(capsys):
     assert code == 0 and err == ""
     assert Fraction(json.loads(out)["expected_successes"]) == (
         expected_successes_by_occupancy(1000, 100, 1000)
+    )
+
+
+@pytest.mark.parametrize(
+    "tokens, users",
+    [(263402751649287815256, 300), (10**400, 3)],
+    ids=["past-2**53", "past-1e308"],
+)
+def test_metrics_fit_past_float_precision_in_tokens(capsys, tokens, users):
+    # log2 C(M, a) as a difference of lgammas reads 0 to thousands of
+    # times its width past 2**53, and lgamma overflows past 1e308
+    code, out, err = run_cli(
+        capsys, "metrics", "--tokens", str(tokens), "--slots", "4", "--users", str(users)
+    )
+    assert code == 0 and err == ""
+    assert parse_rational(json.loads(out)["expected_successes"]) == (
+        expected_successes_by_occupancy(tokens, 4, users)
     )
 
 

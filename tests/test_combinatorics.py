@@ -3,22 +3,37 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from accessframe import analysis, combinatorics, metrics
+from accessframe import analysis, metrics
 from accessframe.analysis import SystemConfig, outcome_probability
 from accessframe.combinatorics import (
     SURJECTION_WORK_LIMIT,
     exact_work,
-    stirling2_assoc,
     surjection_rows,
 )
 from charges import charged_work
-from oracles import min_size2_partition_counts, surjection_counts
+from oracles import (
+    _size2_partition_triangle,
+    min_size2_partition_counts,
+    surjection_counts,
+)
+
+
+def stirling2_assoc(n: int, k: int) -> int:
+    """S(n, k), the partitions of an n-set into k blocks of size at least
+    two, read off the library's contention-split law: with no singles,
+    the k collision tokens of M = max(k, 1) label the k blocks, so
+    S(n, k) = P(0 singles, k collisions | M, T = n) * M**n / k!."""
+    tokens = max(k, 1)
+    split = outcome_probability(SystemConfig(tokens, 1, n), 0, k)
+    partitions = split * tokens**n / factorial(k)
+    assert partitions.denominator == 1, (n, k, partitions)
+    return partitions.numerator
 
 
 def test_stirling_base_case():
@@ -37,8 +52,11 @@ def test_stirling_zero_rules():
     assert stirling2_assoc(5, 3) == 0  # 3 blocks of size >= 2 need 6 elements
     assert stirling2_assoc(7, 4) == 0
     assert stirling2_assoc(1, 1) == 0
-    assert stirling2_assoc(-1, 0) == 0
-    assert stirling2_assoc(5, -1) == 0
+    # a negative set or block count is no split: the law refuses it
+    with pytest.raises(ValueError, match="users must be >= 0"):
+        stirling2_assoc(-1, 0)
+    with pytest.raises(ValueError, match="must be non-negative"):
+        stirling2_assoc(5, -1)
 
 
 def test_stirling_hand_values():
@@ -62,13 +80,8 @@ def _triangle(max_n: int) -> dict[tuple[int, int], int]:
     """Every interior S(n, k), n <= max_n, from full triangular rows of
     the recurrence S(n, k) = k * S(n - 1, k) + (n - 1) * S(n - 2, k - 1):
     the reference the inclusion-exclusion over surjections must match."""
-    entries = {(0, 0): 1}
-    for n in range(2, max_n + 1):
-        for k in range(1, n // 2 + 1):
-            entries[(n, k)] = k * entries.get((n - 1, k), 0) + (n - 1) * entries.get(
-                (n - 2, k - 1), 0
-            )
-    return entries
+    rows = _size2_partition_triangle(max_n, max_n // 2)
+    return {(n, k): v for n, row in enumerate(rows) for k, v in enumerate(row)}
 
 
 @settings(deadline=None)
@@ -86,10 +99,15 @@ def test_stirling2_assoc_refuses_oversized_inputs():
 
 
 def test_stirling2_assoc_without_blocks_needs_no_roll(monkeypatch):
-    def no_rows(rows, cols):
-        raise AssertionError("a surjection row was rolled")
+    rows_from_zero = analysis.surjection_rows
 
-    monkeypatch.setattr(combinatorics, "surjection_rows", no_rows)
+    def no_rows(rows, cols):
+        # row 0 is where the roll starts: asking for it alone rolls nothing
+        if rows.stop > 1:
+            raise AssertionError("a surjection row was rolled")
+        return rows_from_zero(rows, cols)
+
+    monkeypatch.setattr(analysis, "surjection_rows", no_rows)
     assert stirling2_assoc(10**9, 0) == 0
     assert stirling2_assoc(0, 0) == 1
     assert outcome_probability(SystemConfig(1, 1, 10**6), 0, 0) == 0

@@ -22,6 +22,7 @@ from accessframe.metrics import (
     optimal_data_slots,
     sweep,
 )
+from charges import charged_work
 from oracles import expected_successes_by_occupancy
 
 
@@ -270,9 +271,23 @@ def test_metrics_refuse_oversized_inputs_before_building(monkeypatch):
         lambda: sweep(SystemConfig(8, 4, 12), Axis.DATA_SLOTS, range(1, 10**12)),
         lambda: sweep(SystemConfig(8, 4, 1), Axis.USERS, range(1, 10**12)),
         lambda: sweep(SystemConfig(8, 4, 12), Axis.DATA_SLOTS, range(1, 100001)),
+        # more values than len() of a range can count
+        lambda: sweep(SystemConfig(8, 4, 12), Axis.DATA_SLOTS, range(1, 10**20)),
+        lambda: sweep(SystemConfig(8, 4, 1), Axis.USERS, range(1, 10**20)),
     ]:
         with pytest.raises(ValueError, match="fewer users or tokens"):
             call()
+
+
+def test_metrics_estimate_grows_with_tokens():
+    # past 2**53 tokens the two large lgammas of log2 C(M, a) cancel to
+    # float noise; the estimate reads an upper bound there instead
+    tokens = sorted([10**9, 10**15, 10**17, 10**20, 2**64])
+    works = [
+        charged_work(metrics, lambda: expected_successes(SystemConfig(m, 4, 300)))[0]
+        for m in tokens
+    ]
+    assert works == sorted(works), dict(zip(tokens, works))
 
 
 def test_users_sweep_from_zero_users_fails_before_building(monkeypatch):
