@@ -20,17 +20,19 @@ over the active sets and the r-subsets of each,
 
 with surj(n, j) the number of maps from n users onto j tokens.  Moment r
 reads row T - r of :func:`~accessframe.combinatorics.surjection_rows`,
-so r = 0 .. min(M, K, T) reads rows T - min(M, K, T) .. T of one roll.
+so r = 0 .. min(M, K, T) reads one window, rows T - min(M, K, T) .. T,
+whose first row is seeded from powers and the rest rolled.
 Inverting the moments gives the counts,
 
     P(S = d) * M**T = sum_{r >= d} (-1)**(r - d) * C(r, d) * B_r * M**T.
 
-Inputs whose roll, sums and reductions would cost too much are refused
-before any work starts (see :func:`~accessframe.combinatorics.exact_work`).
+Inputs whose rows, sums, reductions and decimal writing would cost too
+much are refused before any work starts (see
+:func:`~accessframe.combinatorics.exact_work`).
 All arithmetic is on exact integers, so the masses sum to exactly 1.
 
 :func:`outcome_probability`, the law of the contention split, reads a
-window of the same roll; only the benchmark's ternary oracle calls it.
+window of the same rows; only the benchmark's ternary oracle calls it.
 """
 
 from __future__ import annotations
@@ -110,9 +112,8 @@ class Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(
-            f"{name}={value!r}" for name, value in zip(self._fields, self._values())
-        )
+        values = zip(self._fields, self._values())
+        fields = ", ".join(f"{name}={_repr(value)}" for name, value in values)
         return f"{type(self).__qualname__}({fields})"
 
     def replace(self, **changes):
@@ -177,6 +178,19 @@ def _decimal(n: int) -> str:
     k = n.bit_length() * 3 // 20
     high, low = divmod(n, 10**k)
     return _decimal(high) + _decimal(low).zfill(k)
+
+
+def _repr(value) -> str:
+    """``repr(value)`` of a record field, with every int, also inside a
+    tuple or a ``Fraction``, written by :func:`_decimal` at any size."""
+    if type(value) is int:
+        return _decimal(value)
+    if type(value) is Fraction:
+        return f"Fraction({_decimal(value.numerator)}, {_decimal(value.denominator)})"
+    if type(value) is tuple:
+        items = ", ".join(map(_repr, value))
+        return f"({items},)" if len(value) == 1 else f"({items})"
+    return repr(value)
 
 
 def _parse_decimal(text: str) -> int:
@@ -278,7 +292,7 @@ def outcome_probability(config: SystemConfig, singles: int, collisions: int) -> 
     if 2 * collisions > rest or collisions == 0 < rest:
         return Fraction(0)
     refuse_oversized(
-        exact_work(rest, collisions),
+        exact_work(range(rest - collisions, rest + 1), collisions),
         f"surjection counts up to n={rest} in {collisions} columns",
     )
     # row rest - collisions + i of the window is read at column i, with
@@ -307,7 +321,7 @@ def success_pmf(config: SystemConfig) -> "SuccessPmf":
     tokens**users, so the result is exact however wildly the terms
     differ in magnitude; a mass is reduced only when it is read.  With
     no users the pmf is a point mass at zero.  Raises ``ValueError``
-    before any work when the roll, the moment sums and the reductions
+    before any work when the rows, the moment sums and the reductions
     would together cost too much (see
     :func:`~accessframe.combinatorics.exact_work`).
     """
@@ -319,7 +333,7 @@ def success_pmf(config: SystemConfig) -> "SuccessPmf":
     # when they are read
     count_bits = t * math.log2(big_m) + 2 * top
     work = exact_work(
-        t,
+        range(t - top, t + 1),
         width,
         products=((t - r, width - r) for r in range(top + 1)),
         coefficients=(big_m, width, top),

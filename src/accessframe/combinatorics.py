@@ -3,11 +3,10 @@ numbers on their one counting recurrence, and the one cost model every
 exact computation is held to.
 
 The roll is integer arithmetic on Python ints, so results are exact at
-any magnitude.  :func:`surjection_rows` rolls the recurrence
-forward from row 0 and yields the rows its caller reads, capped at the
+any magnitude.  :func:`surjection_rows` seeds the first row its caller
+reads, rolls the recurrence over the rest, and caps each row at the
 columns the caller reads.  It prices nothing itself: every caller first
-prices its whole plan (a roll, the products and reductions over it, and
-fixed costs per item) with :func:`exact_work`, and :func:`refuse_oversized`
+prices its whole plan with :func:`exact_work`, and :func:`refuse_oversized`
 refuses one over :data:`SURJECTION_WORK_LIMIT` before it starts.
 """
 
@@ -15,7 +14,7 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate, chain, islice
-from operator import add, mul
+from operator import add, mul, sub
 from collections.abc import Iterable, Iterator
 
 __all__ = [
@@ -33,8 +32,7 @@ def _log2_factorial(n: int) -> float:
 #: Largest estimated cost, in the bit-operations of :func:`exact_work`,
 #: that an exact computation agrees to take: about a second.  Row 999
 #: capped at 999 columns (tokens = users = 1000 in the metrics) estimates
-#: 2.9e9; the largest row the benchmark workloads ask for (users 256, 128
-#: columns) estimates 3.4e7.
+#: 2.8e9; the benchmark's largest window (users 1 .. 256) estimates 3.9e7.
 SURJECTION_WORK_LIMIT = 8.0e9
 
 #: Measured fixed costs of :func:`exact_work`'s items, in its units: an
@@ -51,7 +49,7 @@ _MEAN_BITS = 300_000
 
 
 def exact_work(
-    rows: int,
+    rows: range,
     cols: int,
     products: Iterable[tuple[int, int]] = (),
     coefficients: tuple[int, int, float] = (0, 0, 0.0),
@@ -64,27 +62,29 @@ def exact_work(
     """Estimated bigint work, in bit-operations, of an exact plan: the one
     cost model every exact computation is priced by.
 
-    The plan rolls surjection rows 0..rows capped at ``cols`` columns
-    (none when rows < 0); multiplies row n capped at w columns, for each
-    (n, w) of ``products``, by coefficients C(c, a) * x with a <= v and
-    x < 2**e, where (c, v, e) = ``coefficients``; reduces ``count``
-    fractions of ``bits`` bits for each (count, bits) of ``fractions``;
-    builds ``weights`` moment weights; takes steps[0] inversion steps, each
-    adding a count of steps[1] bits; and reports ``means`` means.
+    The plan seeds the first row of the window ``rows`` and rolls the rest,
+    capped at ``cols`` columns; multiplies row n capped at w columns, for
+    each (n, w) of ``products``, by coefficients C(c, a) * x with a <= v
+    and x < 2**e, where (c, v, e) = ``coefficients``; reduces and writes
+    ``count`` fractions of ``bits`` bits for each (count, bits) of
+    ``fractions``; builds ``weights`` moment weights; takes steps[0]
+    inversion steps of steps[1] bits each; and reports ``means`` means.
 
     Measured on a 2-core x86-64 host, where a bit-operation takes
-    0.08-0.19 ns: row n capped at w columns holds w + 1 entries
-    surj(n, j) <= j**n, so at most n * log2(w!) bits beyond one per entry;
-    a coefficient is at most log2 C(c, min(v, c // 2)) + e bits wide; a
-    product costs one bit-operation per 64 bit pairs, an addition one per
-    bit and a reduction one per 32 squared bits; and each row and entry of
-    the roll, weight, step and mean adds its fixed cost above.
+    0.08-0.19 ns: row n capped at w columns holds w + 1 entries surj(n, j)
+    <= j**n, at most n * log2(w!) bits beyond one per entry, and its seed
+    takes w + 1 powers of b = n * log2(w) bits, b**log2(3) / 16 each, and
+    (w + 1)(w + 2)/2 differences, b / 2 each; a coefficient is at most
+    log2 C(c, min(v, c // 2)) + e bits wide; a product costs one per 64 bit
+    pairs, an addition one per bit and a fraction, reduced and written in
+    decimal on Python 3.10 and 3.11, one per 32 squared bits; and each row
+    and entry of the roll, weight, step and mean adds its fixed cost above.
 
-    Fixed costs come first, then the rows of the roll (those past ``cols``
-    in closed form), the products and the fractions, and the sum stops as
-    soon as it passes :data:`SURJECTION_WORK_LIMIT`.  So the estimate is
-    cheap for any input, a plan of too many items is refused before they
-    are walked, and it is never below the roll's total bit length.
+    Fixed costs come first, then the seed, the other rows (each as wide as
+    the last), the products and the fractions, and the sum stops as soon
+    as it passes :data:`SURJECTION_WORK_LIMIT`.  So the estimate is cheap
+    for any input, a plan of too many items is refused before they are
+    walked, and it is never below the window's total bit length.
     """
     step_count, step_bits = steps
     c, v, e = coefficients
@@ -102,21 +102,20 @@ def exact_work(
         + step_count * (step_bits + _STEP_BITS)
         + means * _MEAN_BITS
     )
-    head = max(0, min(rows + 1, cols))
-    terms = chain(
-        [fixed],
-        (
-            r * _log2_factorial(r)
-            + _SURJECTION_ENTRY_BITS * (r + 1)
+    seed = window = 0.0
+    if rows:
+        first, last = rows[0], rows[-1]
+        w, top = min(cols, first), min(cols, last)
+        b = first * math.log2(max(w, 1))
+        entry = b / 2 + _SURJECTION_ENTRY_BITS
+        seed = (w + 1) * (b ** math.log2(3) / 16 + (w + 2) / 2 * entry)
+        window = (last - first) * (
+            (first + 1 + last) / 2 * _log2_factorial(top)
+            + _SURJECTION_ENTRY_BITS * (top + 1)
             + _SURJECTION_ROW_BITS
-            for r in range(head)
-        ),
-        (  # rows head..rows all have cols columns
-            (head + rows) * tail / 2 * _log2_factorial(cols)
-            + tail * (_SURJECTION_ENTRY_BITS * (cols + 1) + _SURJECTION_ROW_BITS)
-            for tail in [rows + 1 - head]
-            if tail > 0
-        ),
+        )
+    terms = chain(
+        [fixed, seed, window],
         (n * _log2_factorial(w) * coefficient_bits / 64 for n, w in products),
         (count * bits**2 / 32 for count, bits in fractions),
     )
@@ -143,26 +142,27 @@ def surjection_rows(rows: range, cols: int) -> Iterator[tuple[int, ...]]:
     """The surjection numbers of each row n in ``rows``, capped at ``cols``
     columns, one row at a time.
 
-    surj(n, j) = j! * S(n, j) counts the maps from an n-set onto a j-set
-    (S the ordinary Stirling numbers of the second kind).  They follow
-
-        surj(n, j) = j * (surj(n - 1, j) + surj(n - 1, j - 1))
-
-    from surj(0, 0) = 1, and surj(n, j) = 0 for j > n and for j = 0 < n.
-    Row n is yielded as a tuple over j = 0 .. min(cols, n).  The roll
-    always starts at row 0, and only the latest row is held, so a caller
-    that needs a row per user count walks them in one pass.  Nothing is
-    priced here: a caller refuses an oversized roll with
-    :func:`exact_work` and :func:`refuse_oversized` before it asks.
+    surj(n, j) = j! * S(n, j), S the Stirling numbers of the second kind,
+    counts the maps from an n-set onto a j-set; row n is a tuple over
+    j = 0 .. min(cols, n).  The window's first row is seeded: surj(n, j) =
+    sum_i (-1)**(j - i) * C(j, i) * i**n is the j-th forward difference of
+    i**n at 0 (Feller, vol. 1, ch. IV).  The rest are rolled on surj(n, j)
+    = j * (surj(n - 1, j) + surj(n - 1, j - 1)), holding only the latest
+    row, so a caller that needs a row per user count walks them in one pass.
     """
     if rows.start < 0 or cols < 0:
         raise ValueError(f"need rows >= 0 and cols >= 0, got ({rows}, {cols})")
+    if not rows:
+        return iter(())
 
     def roll(row: tuple[int, ...], n: int) -> tuple[int, ...]:
         # row n: j * (surj(n-1, j) + surj(n-1, j-1)) for j = 1 .. min(cols, n)
         sums = map(add, row[1:] + (0,), row)
         return (0, *map(mul, range(1, min(cols, n) + 1), sums))
 
-    # rows 0 .. stop - 1, of which islice skips those below the window
-    every_row = accumulate(range(1, rows.stop), roll, initial=(1,))
-    return islice(every_row, rows.start, rows.stop, rows.step)
+    # table k holds the k-th differences of i**start; 0**0 == 1 seeds row 0
+    table = [i**rows.start for i in range(min(cols, rows.start) + 1)]
+    tables = accumulate(table[1:], lambda t, _: list(map(sub, t[1:], t)), initial=table)
+    seed = tuple(t[0] for t in tables)
+    window = accumulate(range(rows.start + 1, rows.stop), roll, initial=seed)
+    return islice(window, 0, None, rows.step)

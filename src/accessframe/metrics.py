@@ -24,14 +24,15 @@ columns, and the row does not depend on K.  Every result is an exact
 rational.
 
 All four entries read one grid of E[S] * M**T over user counts and data
-slots.  One roll yields the rows of every user count wanted, from row
-min(users) - 1, so a users :func:`sweep` rolls once; a data-slots
-:func:`sweep`, :func:`optimal_data_slots` and :func:`expected_successes`
-read a single row.  Once a row is read, each K costs O(1) bigint
-operations: min(a, K) counts the j < K below a, so the sum over a is a
-prefix sum, up to K, of the suffix sums sum_{a > j} of its terms.
-Inputs whose rows and sums would cost too much are refused before any
-row is built (see :func:`~accessframe.combinatorics.exact_work`).
+slots.  One window yields the rows of every user count wanted: row
+min(users) - 1 is seeded and the rest rolled, so a users :func:`sweep`
+seeds once; a data-slots :func:`sweep`, :func:`optimal_data_slots` and
+:func:`expected_successes` read a single seeded row.  Once a row is
+read, each K costs O(1) bigint operations: min(a, K) counts the j < K
+below a, so the sum over a is a prefix sum, up to K, of the suffix sums
+sum_{a > j} of its terms.  Inputs whose rows, sums and reductions
+would cost too much are refused before any row is built (see
+:func:`~accessframe.combinatorics.exact_work`).
 """
 
 from __future__ import annotations
@@ -122,16 +123,18 @@ def _count(values: Sequence[int]) -> int:
 
 def _refuse_oversized(tokens: int, users: Sequence[int], means_per_row: int) -> None:
     """Refuse, before any row is built, ``means_per_row`` means at each of
-    ``users``: the roll up to the largest, the sum for t users over row
-    t - 1 capped at min(tokens, t) - 1 columns with coefficients
-    C(tokens, a) * min(a, K), and the reductions over tokens**t."""
-    # a range is not walked for its largest value: it may be refused on
-    # its number of means alone
-    top = max(users[0], users[-1]) if isinstance(users, range) else max(users)
+    ``users``: the window of rows from the smallest to the largest, the sum
+    for t users over row t - 1 capped at min(tokens, t) - 1 columns with
+    coefficients C(tokens, a) * min(a, K), and the reductions over
+    tokens**t."""
+    # a range is not walked for its smallest and largest values: it may be
+    # refused on its number of means alone
+    ends = (users[0], users[-1]) if isinstance(users, range) else users
+    top = max(ends)
     width = min(tokens, top)
     means = _count(users) * means_per_row
     work = exact_work(
-        top - 1,
+        range(max(min(ends), 1) - 1, top),
         width - 1,
         products=((t - 1, min(tokens, t) - 1) for t in users if t >= 1),
         coefficients=(tokens, width, width.bit_length()),
@@ -149,7 +152,7 @@ def _numerators(
     """E[S] * tokens**t for each t of ``users``, strictly increasing from
     1 or more, at each K of ``slots``: one list per user count.
 
-    One roll yields rows min(users) - 1 .. max(users) - 1.  With
+    One window yields rows min(users) - 1 .. max(users) - 1.  With
     w_a = C(M, a) * surj(t - 1, a - 1), the sum in the module docstring
     is t * sum_a min(a, K) * w_a = t * sum_{j < K} sum_{a > j} w_a, read
     at each K from one prefix sum of the suffix sums.

@@ -26,9 +26,9 @@ import os
 import sys
 from pathlib import Path
 
-#: command line -> (exit code, sha256 of stdout).  Of the last two, the first
-#: writes integers past the interpreter's 4300-digit int -> str limit and the
-#: second is refused by the cost model.
+#: command line -> (exit code, sha256 of stdout).  Of the last three, the
+#: first two write integers past the interpreter's 4300-digit int -> str
+#: limit and the third is refused by the cost model.
 DOCUMENTS = {
     "pmf --tokens 8 --slots 4 --users 12 --format json": (
         0, "0323e3949f97144189eb7eec6f383f486daef9686e63e48a13ea2f3fe3b69687"
@@ -88,6 +88,9 @@ DOCUMENTS = {
         0, "895a91cfa3f92c6a8731e29851eed5b7fbb77dfa99e53d262b69fe6b9facf16b"
     ),
     "pmf --tokens 64 --slots 8 --users 20000": (
+        0, "0e34134142e8441b15f076b69b0e53d26fc65a458afed4c504f6b8f945eed7e1"
+    ),
+    "pmf --tokens 128 --slots 32 --users 20000": (
         1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
     ),
 }

@@ -207,6 +207,7 @@ def test_success_pmf_is_constant_once_slots_cover_active_tokens(m, extra, t):
         (8, 3, 400),
         (8, 8, 400),
         (400, 8, 400),
+        (16, 8, 4000),
     ],
 )
 def test_success_pmf_matches_split_sum_beyond_enumeration(tokens, slots, users):
@@ -223,9 +224,12 @@ def _pmf_work(config: SystemConfig) -> float:
 def test_pmf_work_admits_the_benchmark_and_refuses_large_sums():
     # the largest deep-pmf configuration passes with 10x headroom
     assert _pmf_work(SystemConfig(16, 16, 1600)) * 10 < SURJECTION_WORK_LIMIT
-    for fits in [(400, 100, 400), (1000, 8, 1000), (600, 60, 600)]:
+    # a seeded row makes users far past the tokens fit; 33 masses of 140k
+    # bits do not
+    fitting = [(400, 100, 400), (1000, 8, 1000), (600, 60, 600), (64, 8, 20000)]
+    for fits in fitting:
         assert _pmf_work(SystemConfig(*fits)) < SURJECTION_WORK_LIMIT, fits
-    for refused in [(1000, 100, 1000), (800, 800, 800), (64, 8, 20000)]:
+    for refused in [(1000, 100, 1000), (800, 800, 800), (128, 32, 20000)]:
         assert _pmf_work(SystemConfig(*refused)) > SURJECTION_WORK_LIMIT, refused
 
 
@@ -233,7 +237,7 @@ def test_success_pmf_refuses_oversized_inputs_before_building():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="fewer users or tokens"):
-            success_pmf(SystemConfig(64, 8, 20000))  # the roll is too long
+            success_pmf(SystemConfig(128, 32, 20000))  # the reductions are too long
         with pytest.raises(ValueError, match="fewer users or tokens"):
             success_pmf(SystemConfig(1000, 100, 1000))  # the moment sums are
         with pytest.raises(ValueError, match="fewer users or tokens"):

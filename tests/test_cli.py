@@ -118,7 +118,7 @@ def test_oversized_input_exits_one_with_hint(capsys):
     walk_hint = "use fewer users or frames\n"
     token_hint = "over the limit of 2**63 tokens"
     for argv, hint in [
-        (("pmf", "--tokens", "64", "--slots", "8", "--users", "20000"), exact_hint),
+        (("pmf", "--tokens", "128", "--slots", "32", "--users", "20000"), exact_hint),
         (("pmf", "--tokens", "1000", "--slots", "100", "--users", "1000"), exact_hint),
         (("pmf", "--tokens", "1000", "--slots", "500", "--users", "1000"), exact_hint),
         (("simulate", *simulation), walk_hint),
@@ -129,7 +129,7 @@ def test_oversized_input_exits_one_with_hint(capsys):
         (("compare", *simulation), exact_hint),
         (("simulate", *TOO_MANY_TOKENS), token_hint),
         (("compare", *TOO_MANY_TOKENS), token_hint),
-        (("metrics", "--tokens", "64", "--slots", "8", "--users", "20000"), exact_hint),
+        (("metrics", "--tokens", "64", "--slots", "8", "--users", "100000"), exact_hint),
         (("sweep", "--tokens", "8", "--slots", "4", "--users", "12",
           "--axis", "data-slots", "--range", "1:10000000"), exact_hint),
         # more sweep values than len() of a range can count
@@ -144,6 +144,12 @@ def test_oversized_input_exits_one_with_hint(capsys):
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and hint in err, argv
+    # a seeded first row fits 64 tokens and 20000 users
+    for command in ("pmf", "metrics"):
+        code, out, err = run_cli(
+            capsys, command, "--tokens", "64", "--slots", "8", "--users", "20000"
+        )
+        assert code == 0 and err == "" and json.loads(out)["T"] == 20000
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])
@@ -239,6 +245,18 @@ def test_metrics_fit_where_the_pmf_does_not(capsys):
     assert Fraction(json.loads(out)["expected_successes"]) == (
         expected_successes_by_occupancy(1000, 100, 1000)
     )
+
+
+def test_exact_path_fits_users_far_past_tokens(capsys):
+    # the first row of a window is seeded, not rolled to from row 0
+    mean = expected_successes_by_occupancy(16, 4, 20000)
+    config = ("--tokens", "16", "--slots", "4", "--users", "20000")
+    code, out, err = run_cli(capsys, "metrics", *config)
+    assert code == 0 and err == ""
+    assert parse_rational(json.loads(out)["expected_successes"]) == mean
+    code, out, err = run_cli(capsys, "pmf", *config)
+    assert code == 0 and err == ""
+    assert SuccessPmf.from_json(out).mean() == mean
 
 
 @pytest.mark.parametrize(

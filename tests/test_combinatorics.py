@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
 from math import comb, factorial
 
 import pytest
@@ -138,27 +139,44 @@ def test_surjection_rows_match_inclusion_exclusion(rows, cols):
 
 
 @settings(deadline=None)
-@given(st.integers(0, 400), st.integers(0, 60))
-def test_surjection_work_bounds_row_size(rows, cols):
-    # the estimate is meant as an upper bound on the digits it rolls
-    bits = sum(v.bit_length() for row in _rows(rows, cols) for v in row)
+@given(st.integers(0, 400), st.integers(0, 400), st.integers(0, 60))
+def test_surjection_work_bounds_row_size(a, b, cols):
+    # the estimate is meant as an upper bound on the digits of the window
+    rows = range(a, b)
+    bits = sum(v.bit_length() for row in surjection_rows(rows, cols) for v in row)
     assert exact_work(rows, cols) >= bits
 
 
+#: windows near row 0, and windows starting far past their columns
+WINDOWS = st.one_of(
+    st.tuples(st.integers(0, 120), st.integers(0, 120), st.integers(0, 30)),
+    st.tuples(st.integers(0, 3000), st.integers(-3, 12), st.integers(0, 16)).map(
+        lambda w: (w[0], w[0] + w[1], w[2])
+    ),
+)
+
+
 @settings(deadline=None)
-@given(st.integers(0, 120), st.integers(0, 120), st.integers(0, 30))
-def test_surjection_rows_yield_the_rows_asked_for(a, b, cols):
-    # any window, empty ones included, is that slice of the whole roll
-    assert list(surjection_rows(range(a, b), cols)) == _rows(b - 1, cols)[a:b]
+@given(WINDOWS)
+def test_surjection_rows_yield_the_rows_asked_for(window):
+    # any window, empty ones included, is that slice of the whole roll: a
+    # seeded first row equals the row rolled from row 0
+    a, b, cols = window
+    whole = islice(surjection_rows(range(max(a, b)), cols), a, None)
+    assert list(surjection_rows(range(a, b), cols)) == list(whole)
 
 
 def test_surjection_work_prices_rolls_against_the_limit():
-    # the largest benchmark row passes with 100x headroom; tokens =
+    # the largest benchmark window passes with 100x headroom; tokens =
     # users = 1000 in the metrics passes too
-    assert exact_work(255, 127) * 100 < SURJECTION_WORK_LIMIT
-    assert exact_work(999, 999) < SURJECTION_WORK_LIMIT
-    assert exact_work(19999, 63) > SURJECTION_WORK_LIMIT
-    assert exact_work(10**9, 10**8) > SURJECTION_WORK_LIMIT  # stops early
+    assert exact_work(range(256), 127) * 100 < SURJECTION_WORK_LIMIT
+    assert exact_work(range(999, 1000), 999) < SURJECTION_WORK_LIMIT
+    # a seeded row far past its columns is cheap; rolling to it is not,
+    # and neither is a seed of 2000 columns
+    assert exact_work(range(19999, 20000), 63) * 10 < SURJECTION_WORK_LIMIT
+    assert exact_work(range(20000), 63) > SURJECTION_WORK_LIMIT
+    assert exact_work(range(1999, 2000), 1999) > SURJECTION_WORK_LIMIT
+    assert exact_work(range(10**9), 10**8) > SURJECTION_WORK_LIMIT  # stops early
 
 
 def test_surjection_rows_reject_bad_shapes():
@@ -196,7 +214,7 @@ def test_entry_estimates_cover_their_rolls(tokens, slots, users, by_users, by_sl
         assert work <= SURJECTION_WORK_LIMIT
         if roll:
             rows, cols = roll
-            assert work >= exact_work(rows[-1], cols), roll
+            assert work >= exact_work(rows, cols), roll
     # and asks for no row below the one its first user count reads
     _, (rows, _cols) = charged_work(*users_sweep)
     assert rows.start == min(by_users) - 1

@@ -255,17 +255,28 @@ def test_scans_equal_fresh_metrics_per_row():
 
 
 def test_metrics_refuse_oversized_inputs_before_building(monkeypatch):
+    # a seeded first row fits users far past the tokens: 64 tokens and
+    # 20000 users are computed, against the pmf's mean
+    config = SystemConfig(64, 8, 20000)
+    fitting = frame_metrics(config)
+    assert fitting.expected_successes == success_pmf(config).mean()
+    best_k, best = optimal_data_slots(64, 20000, 8)
+    assert best == frame_metrics(config.replace(data_slots=best_k)).efficiency
+    assert sweep(config, Axis.USERS, range(19990, 20001)).rows[-1] == fitting
+    assert sweep(config, Axis.DATA_SLOTS, (1, 8)).rows[-1] == fitting
+
     def no_rows(rows, cols):
         raise AssertionError("a row was built before the cost guard")
 
     monkeypatch.setattr(metrics, "surjection_rows", no_rows)
     for call in [
-        lambda: frame_metrics(SystemConfig(64, 8, 20000)),
-        lambda: optimal_data_slots(64, 20000, 8),
-        lambda: sweep(SystemConfig(64, 8, 1), Axis.USERS, range(19990, 20001)),
+        # 10**5 users: reducing and writing a mean over 64**(10**5) is too long
+        lambda: frame_metrics(SystemConfig(64, 8, 10**5)),
+        lambda: optimal_data_slots(64, 10**5, 8),
+        lambda: sweep(SystemConfig(64, 8, 1), Axis.USERS, range(99990, 100001)),
         # each row is within the limit, the sums over 1000 of them are not
         lambda: sweep(SystemConfig(1000, 100, 1), Axis.USERS, range(1, 1001)),
-        lambda: sweep(SystemConfig(64, 1, 20000), Axis.DATA_SLOTS, (1, 2)),
+        lambda: sweep(SystemConfig(64, 1, 10**5), Axis.DATA_SLOTS, (1, 2)),
         # every value is cheap, but there are too many to report; a range
         # is refused before it is walked
         lambda: sweep(SystemConfig(8, 4, 12), Axis.DATA_SLOTS, range(1, 10**12)),

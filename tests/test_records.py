@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from accessframe.analysis import SuccessPmf, SystemConfig, success_pmf
+from accessframe.analysis import SuccessPmf, SystemConfig, _decimal, success_pmf
 from accessframe.metrics import (
     Axis,
     FrameMetrics,
@@ -125,6 +125,19 @@ def test_record_repr_names_every_field(name):
         f"{cls.__name__}("
         + ", ".join(f"{f}={getattr(record, f)!r}" for f in fields)
         + ")"
+    )
+
+
+def test_record_repr_writes_ints_past_the_digit_limit():
+    # 64**5000 has 9031 digits, and 16**4000 has 4817
+    pmf = success_pmf(SystemConfig(64, 8, 5000))
+    text = repr(pmf)
+    assert f"denominator={_decimal(pmf.denominator)}, kind=" in text
+    assert f"counts=({_decimal(pmf.counts[0])}, " in text
+    mean = frame_metrics(SystemConfig(16, 8, 4000)).expected_successes
+    assert repr(FrameMetrics(SystemConfig(16, 8, 4000), mean)).endswith(
+        f"expected_successes=Fraction({_decimal(mean.numerator)}, "
+        f"{_decimal(mean.denominator)}))"
     )
 
 
