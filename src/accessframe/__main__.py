@@ -1,8 +1,8 @@
-"""Allow ``python -m accessframe ...``."""
+"""Allow ``python -m accessframe ...``: the process entry
+:func:`accessframe.cli.run`, which runs the command line and freezes the
+heap before the interpreter shuts down."""
 
-import sys
-
-from .cli import main
+from .cli import run
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -331,7 +331,10 @@ def success_pmf(config: SystemConfig) -> "SuccessPmf":
     # C(M, a) * C(min(a, K), r) < C(M, a) * 2**top; step r of the inversion
     # updates top - r + 1 counts, and top + 1 masses over M**T reduce
     # when they are read
-    count_bits = t * math.log2(big_m) + 2 * top
+    try:
+        count_bits = t * math.log2(big_m) + 2 * top
+    except OverflowError:  # users past float range: exact_work prices it at inf
+        count_bits = math.inf
     work = exact_work(
         range(t - top, t + 1),
         width,

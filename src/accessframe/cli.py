@@ -16,15 +16,21 @@ Each handler imports the modules it runs when it runs, so ``pmf`` loads
 ``analysis`` and ``combinatorics``, the other exact subcommands add
 ``metrics``, only ``simulate`` and ``compare`` load ``simulator``, and
 ``--help`` loads none of them.
+
+:func:`run` is the process entry (``python -m accessframe`` and the
+``accessframe`` script): it runs :func:`main` on the command line and
+freezes the heap before the interpreter shuts down.  :func:`main` is the
+call for use inside a process; it never freezes.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
-__all__ = ["build_parser", "main"]
+__all__ = ["build_parser", "main", "run"]
 
 #: Environment variable holding the default output format.
 FORMAT_ENV = "ACCESSFRAME_FORMAT"
@@ -353,3 +359,20 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
         return 1
     return 0
+
+
+def run() -> None:
+    """Run :func:`main` on ``sys.argv`` and exit the process with its code.
+
+    Whatever way :func:`main` ends (a code, argparse's ``SystemExit`` for
+    ``--help`` and usage errors, or an exception), every object still
+    alive is then moved into the permanent generation with
+    ``gc.freeze()``, so the collections the interpreter runs at shutdown
+    skip them and the operating system reclaims their memory.  Output,
+    exit codes, ``atexit`` handlers and file flushes are unchanged; only
+    the shutdown walk over the heap goes.
+    """
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()

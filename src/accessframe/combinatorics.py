@@ -86,44 +86,48 @@ def exact_work(
     for any input, a plan of too many items is refused before they are
     walked, and it is never below the window's total bit length.
     """
-    step_count, step_bits = steps
-    c, v, e = coefficients
-    a = min(v, c // 2)
-    # the lgamma difference is exact to well under a bit below 2**40, but
-    # its two large terms cancel to float noise past 2**53; from 2**40 on
-    # read a * log2(c) - log2(a!), within a**2 / c bits above log2 C(c, a)
-    coefficient_bits = e + (
-        _log2_factorial(c) - _log2_factorial(a) - _log2_factorial(c - a)
-        if c < 2**40
-        else a * math.log2(c) - _log2_factorial(a)
-    )
-    fixed = (
-        weights * _WEIGHT_BITS
-        + step_count * (step_bits + _STEP_BITS)
-        + means * _MEAN_BITS
-    )
-    seed = window = 0.0
-    if rows:
-        first, last = rows[0], rows[-1]
-        w, top = min(cols, first), min(cols, last)
-        b = first * math.log2(max(w, 1))
-        entry = b / 2 + _SURJECTION_ENTRY_BITS
-        seed = (w + 1) * (b ** math.log2(3) / 16 + (w + 2) / 2 * entry)
-        window = (last - first) * (
-            (first + 1 + last) / 2 * _log2_factorial(top)
-            + _SURJECTION_ENTRY_BITS * (top + 1)
-            + _SURJECTION_ROW_BITS
+    try:
+        step_count, step_bits = steps
+        c, v, e = coefficients
+        a = min(v, c // 2)
+        # the lgamma difference is exact to well under a bit below 2**40, but
+        # its two large terms cancel to float noise past 2**53; from 2**40 on
+        # read a * log2(c) - log2(a!), within a**2 / c bits above log2 C(c, a)
+        coefficient_bits = e + (
+            _log2_factorial(c) - _log2_factorial(a) - _log2_factorial(c - a)
+            if c < 2**40
+            else a * math.log2(c) - _log2_factorial(a)
         )
-    terms = chain(
-        [fixed, seed, window],
-        (n * _log2_factorial(w) * coefficient_bits / 64 for n, w in products),
-        (count * bits**2 / 32 for count, bits in fractions),
-    )
-    work = 0.0
-    for work in accumulate(terms):
-        if work > SURJECTION_WORK_LIMIT:
-            break
-    return work
+        fixed = (
+            weights * _WEIGHT_BITS
+            + step_count * (step_bits + _STEP_BITS)
+            + means * _MEAN_BITS
+        )
+        seed = window = 0.0
+        if rows:
+            first, last = rows[0], rows[-1]
+            w, top = min(cols, first), min(cols, last)
+            b = first * math.log2(max(w, 1))
+            entry = b / 2 + _SURJECTION_ENTRY_BITS
+            seed = (w + 1) * (b ** math.log2(3) / 16 + (w + 2) / 2 * entry)
+            window = (last - first) * (
+                (first + 1 + last) / 2 * _log2_factorial(top)
+                + _SURJECTION_ENTRY_BITS * (top + 1)
+                + _SURJECTION_ROW_BITS
+            )
+        terms = chain(
+            [fixed, seed, window],
+            (n * _log2_factorial(w) * coefficient_bits / 64 for n, w in products),
+            (count * bits**2 / 32 for count, bits in fractions),
+        )
+        work = 0.0
+        for work in accumulate(terms):
+            if work > SURJECTION_WORK_LIMIT:
+                break
+        return work
+    except OverflowError:
+        # a count past float range cannot be priced: the plan is refused
+        return math.inf
 
 
 def refuse_oversized(work: float, what: str) -> None:

@@ -36,6 +36,7 @@ subcommands, ``--help`` and refusals never load it.
 
 from __future__ import annotations
 
+import sys
 from enum import Enum
 from fractions import Fraction
 from operator import index as as_int
@@ -286,9 +287,13 @@ def estimate_pmf(params: SimParams) -> EmpiricalReport:
     # no credit for early absorption: a walk may run through every user
     price = cfg.users * (_STEP_STATES + min(params.iterations, reachable))
     if price > _WALK_LIMIT:
+        # %g would convert the int price to a float, which past float range
+        # raises; such a price is written as the bound it passes
+        largest = sys.float_info.max
+        steps = f"{price:.3g}" if price <= largest else f"more than {largest:.3g}"
         raise ValueError(
             f"simulating {params.iterations} frames of {cfg.users} users walks "
-            f"{price:.3g} state-steps, over the limit of {_WALK_LIMIT:.3g}; "
+            f"{steps} state-steps, over the limit of {_WALK_LIMIT:.3g}; "
             "use fewer users or frames"
         )
     import numpy as np

@@ -100,6 +100,9 @@ def test_outcome_probability_rejects_impossible_splits():
         outcome_probability(cfg, 2, 1)
     with pytest.raises(ValueError):
         outcome_probability(cfg, -1, 0)
+    # a split of users past float range is refused by the cost guard
+    with pytest.raises(ValueError, match="fewer users or tokens"):
+        outcome_probability(SystemConfig(4, 2, 10**400), 1, 2)
 
 
 def test_success_pmf_two_tokens():
@@ -242,6 +245,10 @@ def test_success_pmf_refuses_oversized_inputs_before_building():
             success_pmf(SystemConfig(1000, 100, 1000))  # the moment sums are
         with pytest.raises(ValueError, match="fewer users or tokens"):
             success_pmf(SystemConfig(10**9, 10**8, 10**9))  # stops early
+        # users past float range, and an estimate that overflows below it
+        for users in (10**400, 10**200):
+            with pytest.raises(ValueError, match="fewer users or tokens"):
+                success_pmf(SystemConfig(4, 2, users))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import functools
+import gc
+import hashlib
 import json
 import subprocess
 import sys
@@ -15,6 +17,7 @@ from accessframe.analysis import SuccessPmf, SystemConfig, parse_rational
 from accessframe.cli import FORMAT_ENV, main
 from accessframe.metrics import Axis, expected_successes, frame_metrics, sweep
 from accessframe.simulator import SimParams, compare_to_exact, estimate_pmf
+from documents import DOCUMENTS
 from oracles import expected_successes_by_occupancy
 
 
@@ -117,6 +120,7 @@ def test_oversized_input_exits_one_with_hint(capsys):
     exact_hint = "fewer users or tokens"
     walk_hint = "use fewer users or frames\n"
     token_hint = "over the limit of 2**63 tokens"
+    huge = str(10**400)  # past float range
     for argv, hint in [
         (("pmf", "--tokens", "128", "--slots", "32", "--users", "20000"), exact_hint),
         (("pmf", "--tokens", "1000", "--slots", "100", "--users", "1000"), exact_hint),
@@ -137,6 +141,20 @@ def test_oversized_input_exits_one_with_hint(capsys):
           "--axis", "data-slots", "--range", f"1:{10**20}"), exact_hint),
         (("sweep", "--tokens", "8", "--slots", "4",
           "--axis", "users", "--range", f"1:{10**20}"), exact_hint),
+        # user counts and sweep lengths past float range are refused, not
+        # converted to a float; so is a pmf whose estimate overflows below it
+        (("pmf", "--tokens", "4", "--slots", "2", "--users", huge), exact_hint),
+        (("pmf", "--tokens", "4", "--slots", "2", "--users", str(10**200)), exact_hint),
+        (("metrics", "--tokens", "4", "--slots", "2", "--users", huge), exact_hint),
+        (("sweep", "--tokens", "4", "--slots", "2",
+          "--axis", "users", "--range", f"1:{huge}"), exact_hint),
+        (("sweep", "--tokens", "4", "--users", "5",
+          "--axis", "data-slots", "--range", f"1:{huge}"), exact_hint),
+        (("optimize-k", "--tokens", "4", "--users", huge, "--k-max", "2"), exact_hint),
+        (("compare", "--tokens", "4", "--slots", "2", "--users", huge,
+          "--seed", "1"), exact_hint),
+        (("simulate", "--tokens", "4", "--slots", "2", "--users", huge,
+          "--seed", "1"), walk_hint),
     ]:
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
@@ -499,15 +517,76 @@ def test_optimize_k_formats(capsys):
     assert out == "M,T,k_max,K_star,efficiency\n1,1,8,1,0.5\n"
 
 
-def test_module_entry_point_runs():
+def _entry_pins() -> list[str]:
+    """The first pin of ``documents.DOCUMENTS`` for each subcommand and
+    format."""
+    pins: dict[tuple[str, str], str] = {}
+    for command in DOCUMENTS:
+        words = command.split()
+        if "--format" in words:
+            pins.setdefault((words[0], words[words.index("--format") + 1]), command)
+    return list(pins.values())
+
+
+#: Command lines that end without a document, with their exit codes: a
+#: value that fails validation, a usage error and the help text.
+ENDINGS = {"pmf --tokens 0 --slots 1 --users 2": 1, "pmf --tokens 2": 2, "--help": 0}
+
+
+def _in_process(argv: list[str]) -> int:
+    try:
+        return main(argv)
+    except SystemExit as stop:  # argparse's usage errors and --help
+        return stop.code
+
+
+@pytest.mark.parametrize("command", [*_entry_pins(), *ENDINGS])
+def test_module_entry_point_runs(capsys, command):
     result = subprocess.run(
-        [sys.executable, "-m", "accessframe", "metrics",
-         "--tokens", "2", "--slots", "1", "--users", "2", "--format", "csv"],
+        [sys.executable, "-m", "accessframe", *command.split()], capture_output=True
+    )
+    if command in DOCUMENTS:
+        expected = DOCUMENTS[command]
+    else:
+        # what main() writes in-process: nothing, or the help text
+        code = _in_process(command.split())
+        assert code == ENDINGS[command]
+        out = capsys.readouterr().out
+        assert (out == "") == (code != 0)
+        expected = (code, hashlib.sha256(out.encode()).hexdigest())
+    assert (result.returncode, hashlib.sha256(result.stdout).hexdigest()) == expected
+
+
+#: Runs ``python -m accessframe`` through runpy in a fresh interpreter,
+#: then prints its exit code and whether it froze objects (3.12 starts
+#: with some frozen already).
+_FREEZE_PROBE = """
+import gc, runpy
+before = gc.get_freeze_count()
+try:
+    runpy.run_module("accessframe", run_name="__main__", alter_sys=True)
+except SystemExit as stop:
+    print(stop.code, before < gc.get_freeze_count())
+"""
+
+
+@pytest.mark.parametrize("command", [next(iter(DOCUMENTS)), *ENDINGS])
+def test_process_entry_freezes_the_heap_before_exit(command):
+    result = subprocess.run(
+        [sys.executable, "-c", _FREEZE_PROBE, *command.split()],
         capture_output=True,
         text=True,
     )
-    assert result.returncode == 0
-    assert result.stdout.endswith("2,1,2,0.5,0.25,0.25\n")
+    code = DOCUMENTS[command][0] if command in DOCUMENTS else ENDINGS[command]
+    assert result.stdout.splitlines()[-1] == f"{code} True", result.stderr
+
+
+def test_main_leaves_the_heap_unfrozen(capsys):
+    before = gc.get_freeze_count()
+    for command in [next(iter(DOCUMENTS)), *ENDINGS]:
+        _in_process(command.split())
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
 
 
 #: Runs ``cli.main(argv)`` in a fresh interpreter, then prints the exit

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import islice
-from math import comb, factorial
+from math import comb, factorial, inf
 
 import pytest
 from hypothesis import given, settings
@@ -177,6 +177,11 @@ def test_surjection_work_prices_rolls_against_the_limit():
     assert exact_work(range(20000), 63) > SURJECTION_WORK_LIMIT
     assert exact_work(range(1999, 2000), 1999) > SURJECTION_WORK_LIMIT
     assert exact_work(range(10**9), 10**8) > SURJECTION_WORK_LIMIT  # stops early
+    # a count past float range is not priced, and neither is a seed whose
+    # estimate overflows below it
+    assert exact_work(range(10**400, 10**400 + 1), 4) == inf
+    assert exact_work(range(1), 1, means=10**400) == inf
+    assert exact_work(range(10**200, 10**200 + 1), 4) == inf
 
 
 def test_surjection_rows_reject_bad_shapes():

@@ -285,6 +285,11 @@ def test_metrics_refuse_oversized_inputs_before_building(monkeypatch):
         # more values than len() of a range can count
         lambda: sweep(SystemConfig(8, 4, 12), Axis.DATA_SLOTS, range(1, 10**20)),
         lambda: sweep(SystemConfig(8, 4, 1), Axis.USERS, range(1, 10**20)),
+        # user counts and sweep lengths past float range
+        lambda: frame_metrics(SystemConfig(4, 2, 10**400)),
+        lambda: optimal_data_slots(4, 10**400, 2),
+        lambda: sweep(SystemConfig(4, 2, 1), Axis.USERS, range(1, 10**400)),
+        lambda: sweep(SystemConfig(4, 2, 5), Axis.DATA_SLOTS, range(1, 10**400)),
     ]:
         with pytest.raises(ValueError, match="fewer users or tokens"):
             call()

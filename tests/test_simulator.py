@@ -338,11 +338,13 @@ def test_estimate_pmf_refuses_oversized_blocks_before_drawing():
     tracemalloc.start()
     try:
         for mode in DetectionMode:
-            params = SimParams(
-                SystemConfig(8, 4, 4 * 10**8), iterations=100000, seed=1, mode=mode
-            )
-            with pytest.raises(ValueError, match="fewer users"):
-                estimate_pmf(params)
+            # 10**400 users: a price past float range
+            for users in (4 * 10**8, 10**400):
+                params = SimParams(
+                    SystemConfig(8, 4, users), iterations=100000, seed=1, mode=mode
+                )
+                with pytest.raises(ValueError, match="fewer users"):
+                    estimate_pmf(params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
