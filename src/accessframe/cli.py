@@ -10,7 +10,13 @@ standard error only.
 
 Exit status: 0 on success, 1 when a value fails validation, the input
 is too large to compute or the output cannot be written, 2 on usage
-errors.
+errors (a missing or unknown flag, an unreadable argument file).
+
+The command line is the only input: no environment variable changes
+what is written.  ``accessframe <subcommand> @FILE`` reads further
+arguments from ``FILE``, one per line, in place of ``@FILE``; argparse
+keeps the last value given for a flag, so a flag after ``@FILE``
+overrides the file and one before it does not.
 
 Each handler imports the modules it runs when it runs, so ``pmf`` loads
 ``analysis`` and ``combinatorics``, the other exact subcommands add
@@ -27,32 +33,16 @@ from __future__ import annotations
 
 import argparse
 import gc
-import os
 import sys
 
 __all__ = ["build_parser", "main", "run"]
 
-#: Environment variable holding the default output format.
-FORMAT_ENV = "ACCESSFRAME_FORMAT"
-
-
-def _default_format() -> str:
-    value = os.environ.get(FORMAT_ENV, "json").lower()
-    if value not in ("csv", "json"):
-        print(
-            f"warning: ignoring {FORMAT_ENV}={value!r} (want csv or json)",
-            file=sys.stderr,
-        )
-        return "json"
-    return value
-
-
-def _add_output_flags(parser: argparse.ArgumentParser, default_format: str) -> None:
+def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format",
         choices=("csv", "json"),
-        default=default_format,
-        help=f"output format (default json, or ${FORMAT_ENV})",
+        default="json",
+        help="output format (default json)",
     )
     parser.add_argument(
         "--output", metavar="PATH", help="write the document here instead of stdout"
@@ -87,44 +77,41 @@ def build_parser() -> argparse.ArgumentParser:
         prog="accessframe",
         description="Exact analysis and seeded simulation of a two-phase "
         "access reservation frame (token contention plus TDM data slots).",
+        fromfile_prefix_chars="@",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    fmt = _default_format()
 
     pmf = sub.add_parser(
         "pmf", help="distribution of per-frame successes"
     )
     _add_config_flags(pmf, required=("tokens", "slots", "users"))
-    _add_output_flags(pmf, fmt)
+    _add_output_flags(pmf)
     pmf.set_defaults(handler=_run_pmf)
 
     metrics = sub.add_parser(
         "metrics", help="expected successes, success rate and efficiency"
     )
     _add_config_flags(metrics, required=("tokens", "slots", "users"))
-    _add_output_flags(metrics, fmt)
+    _add_output_flags(metrics)
     metrics.set_defaults(handler=_run_metrics)
 
     sweep_cmd = sub.add_parser(
         "sweep", help="tabulate metrics along the user or data-slot axis"
     )
-    _add_config_flags(sweep_cmd, required=())
+    _add_config_flags(sweep_cmd, required=("tokens",))
     sweep_cmd.add_argument(
         "--axis",
         choices=("users", "data-slots"),
+        required=True,
         help="which parameter varies",
     )
     sweep_cmd.add_argument(
         "--range",
         metavar="LO:HI",
+        required=True,
         help="inclusive axis range",
     )
-    sweep_cmd.add_argument(
-        "--config",
-        metavar="FILE",
-        help="JSON file with tokens/slots/users/axis/range; flags override it",
-    )
-    _add_output_flags(sweep_cmd, fmt)
+    _add_output_flags(sweep_cmd)
     sweep_cmd.set_defaults(handler=_run_sweep)
 
     simulate = sub.add_parser(
@@ -143,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="binary",
         help="contention detection: idle/active or idle/single/collision",
     )
-    _add_output_flags(simulate, fmt)
+    _add_output_flags(simulate)
     simulate.set_defaults(handler=_run_simulate)
 
     compare = sub.add_parser(
@@ -156,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument(
         "--iterations", type=int, default=100000, help="frames to draw"
     )
-    _add_output_flags(compare, fmt)
+    _add_output_flags(compare)
     compare.set_defaults(handler=_run_compare)
 
     optimize = sub.add_parser(
@@ -166,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument(
         "--k-max", type=int, required=True, help="largest data-phase size to try"
     )
-    _add_output_flags(optimize, fmt)
+    _add_output_flags(optimize)
     optimize.set_defaults(handler=_run_optimize)
 
     return parser
@@ -219,68 +206,29 @@ def _run_metrics(args: argparse.Namespace) -> str:
     return report.to_csv() if args.format == "csv" else report.to_json()
 
 
-def _parse_range(value) -> tuple[int, int]:
-    from .analysis import _is_int
-
-    if isinstance(value, str):
-        lo, sep, hi = value.partition(":")
-        try:
-            if sep:
-                return int(lo), int(hi)
-        except ValueError:
-            pass
-    elif isinstance(value, (list, tuple)) and len(value) == 2:
-        if all(_is_int(v) for v in value):
-            return value[0], value[1]
-    raise ValueError(f"range must be LO:HI or a two-integer array, got {value!r}")
+def _parse_range(value: str) -> tuple[int, int]:
+    lo, sep, hi = value.partition(":")
+    try:
+        if sep:
+            return int(lo), int(hi)
+    except ValueError:
+        pass
+    raise ValueError(f"range must be LO:HI, got {value!r}")
 
 
 def _run_sweep(args: argparse.Namespace) -> str:
-    import json
-
-    from .analysis import SystemConfig, _is_int
+    from .analysis import SystemConfig
     from .metrics import Axis
 
-    merged: dict = {}
-    if args.config is not None:
-        try:
-            with open(args.config) as fh:
-                loaded = json.load(fh)
-        except OSError as exc:
-            raise ValueError(f"cannot read config file: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ValueError("config file must hold a JSON object")
-        merged.update(loaded)
-    for key in ("tokens", "slots", "users", "axis", "range"):
-        flag = getattr(args, key)
-        if flag is not None:
-            merged[key] = flag
-
-    if merged.get("axis") is None:
-        raise ValueError("sweep needs an axis (--axis or config file)")
-    axis = Axis(str(merged["axis"]).replace("-", "_"))
-    if merged.get("range") is None:
-        raise ValueError("sweep needs a range (--range or config file)")
-    lo, hi = _parse_range(merged["range"])
-
-    def field(key: str, fallback: int | None = None) -> int:
-        value = merged.get(key)
-        if value is None:
-            if fallback is None:
-                needed = "--tokens" if key == "tokens" else f"--{key} or config file"
-                raise ValueError(f"sweep needs {needed}")
-            return fallback
-        if _is_int(value):
-            return value
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-
+    axis = Axis(args.axis.replace("-", "_"))
+    lo, hi = _parse_range(args.range)
+    needed = "slots" if axis is Axis.USERS else "users"
+    if getattr(args, needed) is None:
+        raise ValueError(f"sweep needs --{needed}")
     # the swept field's base value is never read; fill it with anything valid
-    if axis is Axis.USERS:
-        base = SystemConfig(field("tokens"), field("slots"), field("users", 0))
-    else:
-        base = SystemConfig(field("tokens"), field("slots", 1), field("users"))
-
-    report = sweep(base, axis, range(lo, hi + 1))
+    slots = 1 if args.slots is None else args.slots
+    users = 0 if args.users is None else args.users
+    report = sweep(SystemConfig(args.tokens, slots, users), axis, range(lo, hi + 1))
     return report.to_csv() if args.format == "csv" else report.to_json()
 
 

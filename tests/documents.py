@@ -22,7 +22,6 @@ import contextlib
 import hashlib
 import importlib.util
 import io
-import os
 import sys
 from pathlib import Path
 
@@ -97,18 +96,13 @@ DOCUMENTS = {
 
 
 def run(command: str) -> tuple[int, str]:
-    """The exit code of ``command`` and the sha256 of its stdout, with
-    the default output format left unset; stderr is discarded."""
-    from accessframe.cli import FORMAT_ENV, main
+    """The exit code of ``command`` and the sha256 of its stdout; stderr
+    is discarded."""
+    from accessframe.cli import main
 
     out = io.StringIO()
-    saved = os.environ.pop(FORMAT_ENV, None)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = main(command.split())
-    finally:
-        if saved is not None:
-            os.environ[FORMAT_ENV] = saved
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(command.split())
     return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 

@@ -1,4 +1,4 @@
-"""Command-line behavior: formats, exit codes, determinism, config files."""
+"""Command-line behavior: formats, exit codes, determinism, argument files."""
 
 from __future__ import annotations
 
@@ -14,16 +14,11 @@ from fractions import Fraction
 import pytest
 
 from accessframe.analysis import SuccessPmf, SystemConfig, parse_rational
-from accessframe.cli import FORMAT_ENV, main
+from accessframe.cli import main
 from accessframe.metrics import Axis, expected_successes, frame_metrics, sweep
 from accessframe.simulator import SimParams, compare_to_exact, estimate_pmf
 from documents import DOCUMENTS
 from oracles import expected_successes_by_occupancy
-
-
-@pytest.fixture(autouse=True)
-def _clean_format_env(monkeypatch):
-    monkeypatch.delenv(FORMAT_ENV, raising=False)
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -361,37 +356,6 @@ def test_compare_reference_point_stays_close(capsys):
     assert payload["mode"] == "binary"
 
 
-def test_environment_variable_sets_default_format(capsys, monkeypatch):
-    monkeypatch.setenv(FORMAT_ENV, "csv")
-    code, out, err = run_cli(
-        capsys, "pmf", "--tokens", "2", "--slots", "1", "--users", "2",
-    )
-    assert code == 0
-    assert out.startswith("d,probability\n")
-    assert err == ""
-
-
-def test_flag_overrides_environment_variable(capsys, monkeypatch):
-    monkeypatch.setenv(FORMAT_ENV, "csv")
-    code, out, _ = run_cli(
-        capsys, "pmf", "--tokens", "2", "--slots", "1", "--users", "2",
-        "--format", "json",
-    )
-    assert code == 0
-    assert out.lstrip().startswith("{")
-
-
-def test_bad_environment_value_warns_once_and_falls_back(capsys, monkeypatch):
-    monkeypatch.setenv(FORMAT_ENV, "yaml")
-    code, out, err = run_cli(
-        capsys, "pmf", "--tokens", "2", "--slots", "1", "--users", "2",
-    )
-    assert code == 0
-    assert out.lstrip().startswith("{")
-    assert err.count("warning:") == 1
-    assert FORMAT_ENV in err
-
-
 def test_sweep_matches_library(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--tokens", "2", "--slots", "1",
@@ -402,88 +366,75 @@ def test_sweep_matches_library(capsys):
     assert out == report.to_csv()
 
 
-def test_sweep_config_file_with_flag_override(capsys, tmp_path):
-    config = tmp_path / "sweep.json"
-    config.write_text(json.dumps(
-        {"tokens": 8, "slots": 4, "axis": "users", "range": [1, 3]}
-    ))
-    code, out, _ = run_cli(
-        capsys, "sweep", "--config", str(config), "--slots", "8",
-        "--format", "json",
-    )
+def _args_file(tmp_path, *argv: str) -> str:
+    """An argument file holding ``argv`` one per line, as ``@PATH``."""
+    path = tmp_path / "run.args"
+    path.write_text("".join(f"{arg}\n" for arg in argv))
+    return f"@{path}"
+
+
+def test_argument_file_writes_the_pinned_document(capsys, tmp_path):
+    command = "pmf --tokens 8 --slots 4 --users 12 --format json"
+    pmf, *flags = command.split()
+    code, out, _ = run_cli(capsys, pmf, _args_file(tmp_path, *flags))
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == DOCUMENTS[command]
+
+
+def test_flag_after_argument_file_overrides_it(capsys, tmp_path):
+    args = _args_file(tmp_path, "--tokens", "2", "--slots", "1", "--users", "2",
+                      "--format", "csv")
+    code, out, _ = run_cli(capsys, "pmf", "--format", "json", args)
     assert code == 0
-    payload = json.loads(out)
-    assert payload["fixed"] == {"M": 8, "K": 8}
-    assert payload["values"] == [1, 2, 3]
-    expected = sweep(SystemConfig(8, 8, 0), Axis.USERS, range(1, 4))
-    assert out == expected.to_json() + "\n"
-
-
-def test_sweep_config_accepts_hyphenated_axis(capsys, tmp_path):
-    config = tmp_path / "sweep.json"
-    config.write_text(json.dumps(
-        {"tokens": 4, "users": 6, "axis": "data-slots", "range": "1:3"}
-    ))
-    code, out, _ = run_cli(capsys, "sweep", "--config", str(config))
+    assert out.startswith("d,probability\n")
+    code, out, _ = run_cli(capsys, "pmf", args, "--format", "json")
     assert code == 0
-    assert json.loads(out)["axis"] == "data_slots"
+    assert json.loads(out)["mass"] == ["1/2", "1/2"]
 
 
-def test_sweep_without_axis_exits_one(capsys):
-    code, out, err = run_cli(
-        capsys, "sweep", "--tokens", "2", "--slots", "1", "--range", "1:3",
-    )
-    assert code == 1
-    assert out == ""
-    assert "axis" in err
+def test_sweep_takes_its_required_flags_from_an_argument_file(capsys, tmp_path):
+    args = _args_file(tmp_path, "--tokens", "8", "--axis", "users",
+                      "--range", "1:3")
+    code, out, _ = run_cli(capsys, "sweep", args, "--slots", "4")
+    assert code == 0
+    assert out == sweep(SystemConfig(8, 4, 0), Axis.USERS, range(1, 4)).to_json() + "\n"
 
 
-def test_sweep_rejects_non_integer_config_values(capsys, tmp_path):
-    config = tmp_path / "sweep.json"
-    base = {"tokens": 8, "slots": 4, "axis": "users", "range": [1, 3]}
-    # bool is an int subclass and int() truncates floats; neither may pass
-    for key, value in [
-        ("tokens", "8"),
-        ("tokens", True),
-        ("users", False),
-        ("range", [1.9, 2]),
-        ("range", [True, 3]),
-        ("range", ["1", "3"]),
-    ]:
-        config.write_text(json.dumps({**base, key: value}))
-        code, out, err = run_cli(capsys, "sweep", "--config", str(config))
-        assert code == 1, (key, value)
-        assert out == ""
-        assert key in err
+def test_missing_argument_file_exits_two(capsys, tmp_path):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["pmf", f"@{tmp_path / 'absent.args'}"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "absent.args" in captured.err
 
 
-def test_sweep_missing_config_file_exits_one(capsys, tmp_path):
-    code, _, err = run_cli(
-        capsys, "sweep", "--config", str(tmp_path / "absent.json"),
-    )
-    assert code == 1
-    assert "config" in err
+@pytest.mark.parametrize("missing", ["--tokens", "--axis", "--range"])
+def test_sweep_without_a_required_flag_exits_two(capsys, missing):
+    argv = {"--tokens": "2", "--slots": "1", "--axis": "users", "--range": "1:3"}
+    del argv[missing]
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", *(word for pair in argv.items() for word in pair)])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert missing in captured.err
 
 
 @pytest.mark.parametrize(
-    "argv, config, message",
+    "argv, message",
     [
         (("--tokens", "8", "--slots", "4", "--axis", "users", "--range", "a:b"),
-         None, "range must be LO:HI"),
-        ((), [8, 4, 12], "config file must hold a JSON object"),
-        ((), {"tokens": 8, "slots": 4, "axis": "users"}, "sweep needs a range"),
-        (("--slots", "4", "--axis", "users", "--range", "1:3"),
-         None, "sweep needs --tokens"),
+         "range must be LO:HI, got 'a:b'"),
+        (("--tokens", "8", "--axis", "users", "--range", "1:3"),
+         "sweep needs --slots"),
+        (("--tokens", "8", "--axis", "data-slots", "--range", "1:3"),
+         "sweep needs --users"),
         (("--tokens", "8", "--slots", "4", "--axis", "users", "--range", "0:3"),
-         None, "success rate needs at least one user"),
+         "success rate needs at least one user"),
     ],
-    ids=["range", "array-config", "no-range", "no-tokens", "no-users"],
+    ids=["range", "no-slots-flag", "no-users-flag", "no-users"],
 )
-def test_sweep_input_errors_exit_one(capsys, tmp_path, argv, config, message):
-    if config is not None:
-        path = tmp_path / "sweep.json"
-        path.write_text(json.dumps(config))
-        argv = (*argv, "--config", str(path))
+def test_sweep_input_errors_exit_one(capsys, argv, message):
     code, out, err = run_cli(capsys, "sweep", *argv)
     assert code == 1
     assert out == ""
