@@ -4,9 +4,10 @@ Subcommands map one-to-one onto the library: ``pmf`` (exact success
 distribution), ``metrics`` (rate and efficiency for one configuration),
 ``sweep`` (tables along the user or data-slot axis), ``simulate``
 (seeded Monte Carlo estimate), ``compare`` (simulation vs the exact pmf)
-and ``optimize-k`` (efficiency-maximizing data-phase size).  Results go
-to standard output or ``--output`` as CSV or JSON; diagnostics go to
-standard error only.
+and ``optimize-k`` (efficiency-maximizing data-phase size).  Arguments
+in, records out: each handler returns the record its library call made,
+and :func:`main` alone writes it, as ``to_csv()`` or ``to_json()`` and a
+newline, to standard output or ``--output``; diagnostics go to stderr.
 
 Exit status: 0 on success, 1 when a value fails validation, the input
 is too large to compute or the output cannot be written, 2 on usage
@@ -192,31 +193,29 @@ def estimate_pmf(params):
     return estimate_pmf(params)
 
 
-def _run_pmf(args: argparse.Namespace) -> str:
+def _config(args: argparse.Namespace):
     from .analysis import SystemConfig
 
-    pmf = success_pmf(SystemConfig(args.tokens, args.slots, args.users))
-    return pmf.to_csv() if args.format == "csv" else pmf.to_json()
+    return SystemConfig(args.tokens, args.slots, args.users)
 
 
-def _run_metrics(args: argparse.Namespace) -> str:
-    from .analysis import SystemConfig
+def _run_pmf(args: argparse.Namespace):
+    return success_pmf(_config(args))
 
-    report = frame_metrics(SystemConfig(args.tokens, args.slots, args.users))
-    return report.to_csv() if args.format == "csv" else report.to_json()
+
+def _run_metrics(args: argparse.Namespace):
+    return frame_metrics(_config(args))
 
 
 def _parse_range(value: str) -> tuple[int, int]:
-    lo, sep, hi = value.partition(":")
     try:
-        if sep:
-            return int(lo), int(hi)
+        lo, hi = map(int, value.split(":"))
     except ValueError:
-        pass
-    raise ValueError(f"range must be LO:HI, got {value!r}")
+        raise ValueError(f"range must be LO:HI, got {value!r}") from None
+    return lo, hi
 
 
-def _run_sweep(args: argparse.Namespace) -> str:
+def _run_sweep(args: argparse.Namespace):
     from .analysis import SystemConfig
     from .metrics import Axis
 
@@ -228,80 +227,45 @@ def _run_sweep(args: argparse.Namespace) -> str:
     # the swept field's base value is never read; fill it with anything valid
     slots = 1 if args.slots is None else args.slots
     users = 0 if args.users is None else args.users
-    report = sweep(SystemConfig(args.tokens, slots, users), axis, range(lo, hi + 1))
-    return report.to_csv() if args.format == "csv" else report.to_json()
+    return sweep(SystemConfig(args.tokens, slots, users), axis, range(lo, hi + 1))
 
 
-def _run_simulate(args: argparse.Namespace) -> str:
-    from .analysis import SystemConfig
-    from .simulator import DetectionMode, SimParams
+def _run_simulate(args: argparse.Namespace):
+    from .simulator import SimParams
 
-    params = SimParams(
-        config=SystemConfig(args.tokens, args.slots, args.users),
-        iterations=args.iterations,
-        seed=args.seed,
-        mode=DetectionMode(args.mode),
-    )
-    report = estimate_pmf(params)
-    return report.to_csv() if args.format == "csv" else report.to_json()
+    return estimate_pmf(SimParams(_config(args), args.iterations, args.seed, args.mode))
 
 
-def _run_compare(args: argparse.Namespace) -> str:
-    from .analysis import SystemConfig
+def _run_compare(args: argparse.Namespace):
     from .simulator import SimParams, _compare
 
-    config = SystemConfig(args.tokens, args.slots, args.users)
-    params = SimParams(config=config, iterations=args.iterations, seed=args.seed)
-    # the exact pmf first: an input too large for it is refused before
-    # any frame is drawn
-    exact = success_pmf(config)
-    record = _compare(estimate_pmf(params), exact)
-    return record.to_csv() if args.format == "csv" else record.to_json()
+    params = SimParams(_config(args), args.iterations, args.seed)
+    # the exact pmf first, so an input too large for it draws no frame
+    exact = success_pmf(params.config)
+    return _compare(estimate_pmf(params), exact)
 
 
-def _run_optimize(args: argparse.Namespace) -> str:
-    import json
+def _run_optimize(args: argparse.Namespace):
+    from .metrics import OptimalDataSlots
 
-    from .analysis import csv_float, json_rational
-
-    best_k, best_value = optimal_data_slots(args.tokens, args.users, args.k_max)
-    if args.format == "csv":
-        return (
-            "M,T,k_max,K_star,efficiency\n"
-            f"{args.tokens},{args.users},{args.k_max},{best_k},"
-            f"{csv_float(best_value)}\n"
-        )
-    return json.dumps(
-        {
-            "M": args.tokens,
-            "T": args.users,
-            "k_max": args.k_max,
-            "K_star": best_k,
-            "efficiency": json_rational(best_value),
-        },
-        indent=2,
-    )
-
-
-def _emit(document: str, path: str | None) -> None:
-    if not document.endswith("\n"):
-        document += "\n"
-    if path is None:
-        sys.stdout.write(document)
-    else:
-        with open(path, "w") as fh:
-            fh.write(document)
+    best = optimal_data_slots(args.tokens, args.users, args.k_max)
+    return OptimalDataSlots(args.tokens, args.users, args.k_max, *best)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        document = args.handler(args)
+        record = args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    document = record.to_csv() if args.format == "csv" else record.to_json() + "\n"
     try:
-        _emit(document, args.output)
+        if args.output is None:
+            sys.stdout.write(document)
+        else:
+            with open(args.output, "w") as fh:
+                fh.write(document)
     except OSError as exc:
         target = args.output or "standard output"
         print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)

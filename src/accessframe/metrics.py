@@ -2,8 +2,9 @@
 
 One entry per question: :func:`frame_metrics` for one configuration,
 :func:`sweep` for an axis, :func:`optimal_data_slots` for the best data
-phase and :func:`expected_successes` for the bare mean.  Two scalar
-summaries of the success count S:
+phase and :func:`expected_successes` for the bare mean.  Their documents
+are written by the records :class:`FrameMetrics`, :class:`SweepReport`
+and :class:`OptimalDataSlots`.  Two scalar summaries of the success count S:
 
 * success rate, the probability that a given user gets its packet
   through, i.e. expected successes divided by the number of users;
@@ -46,12 +47,20 @@ from numbers import Rational
 from operator import attrgetter, mul
 from operator import index as as_int
 
-from .analysis import CSV_HEADER, Record, SystemConfig, csv_fields, json_rational
+from .analysis import (
+    CSV_HEADER,
+    Record,
+    SystemConfig,
+    csv_fields,
+    csv_float,
+    json_rational,
+)
 from .combinatorics import exact_work, refuse_oversized, surjection_rows
 
 __all__ = [
     "Axis",
     "FrameMetrics",
+    "OptimalDataSlots",
     "SweepReport",
     "CSV_HEADER",
     "expected_successes",
@@ -111,6 +120,31 @@ class FrameMetrics(Record):
             self.config, self.expected_successes, self.success_rate, self.efficiency
         )
         return f"{CSV_HEADER}\n{row}\n"
+
+
+class OptimalDataSlots(Record):
+    """The answer of :func:`optimal_data_slots` for ``tokens``, ``users``
+    and at most ``k_max`` data slots: the best size ``data_slots`` and
+    its ``efficiency``."""
+
+    tokens: int
+    users: int
+    k_max: int
+    data_slots: int
+    efficiency: Fraction
+
+    def to_json_dict(self) -> dict:
+        return {
+            "M": self.tokens,
+            "T": self.users,
+            "k_max": self.k_max,
+            "K_star": self.data_slots,
+            "efficiency": json_rational(self.efficiency),
+        }
+
+    def to_csv(self) -> str:
+        row = f"{self.tokens},{self.users},{self.k_max},{self.data_slots}"
+        return f"M,T,k_max,K_star,efficiency\n{row},{csv_float(self.efficiency)}\n"
 
 
 def _count(values: Sequence[int]) -> int:

@@ -143,10 +143,11 @@ class FrameTrace(Record):
     selected: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "mode", DetectionMode(self.mode))
         if len(self.counts) != self.config.tokens:
             raise ValueError("one count per token")
-        if sum(self.counts) != self.config.users:
-            raise ValueError("counts must sum to the number of users")
+        if min(self.counts) < 0 or sum(self.counts) != self.config.users:
+            raise ValueError("counts must be >= 0 and sum to the number of users")
         eligible = [
             tok
             for tok, n in enumerate(self.counts)
@@ -154,8 +155,9 @@ class FrameTrace(Record):
         ]
         if len(self.selected) != min(len(eligible), self.config.data_slots):
             raise ValueError("selection must fill min(eligible, data_slots) slots")
-        if not set(self.selected) <= set(eligible):
-            raise ValueError("selected tokens must be eligible")
+        granted = set(self.selected)
+        if len(granted) < len(self.selected) or not granted <= set(eligible):
+            raise ValueError("selected tokens must be eligible, each once")
 
     @property
     def successes(self) -> int:

@@ -13,8 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from accessframe.analysis import SuccessPmf, SystemConfig, parse_rational
-from accessframe.cli import main
+from accessframe.analysis import Record, SuccessPmf, SystemConfig, parse_rational
+from accessframe.cli import build_parser, main
 from accessframe.metrics import Axis, expected_successes, frame_metrics, sweep
 from accessframe.simulator import SimParams, compare_to_exact, estimate_pmf
 from documents import DOCUMENTS
@@ -477,6 +477,18 @@ def _entry_pins() -> list[str]:
         if "--format" in words:
             pins.setdefault((words[0], words[words.index("--format") + 1]), command)
     return list(pins.values())
+
+
+@pytest.mark.parametrize("command", _entry_pins())
+def test_handlers_return_the_record_main_writes(capsys, command):
+    # one render site: a handler returns its library call's record, and
+    # main's stdout is that record's document in the chosen format
+    args = build_parser().parse_args(command.split())
+    record = args.handler(args)
+    assert isinstance(record, Record)
+    expected = record.to_csv() if args.format == "csv" else record.to_json() + "\n"
+    assert main(command.split()) == 0
+    assert capsys.readouterr().out == expected
 
 
 #: Command lines that end without a document, with their exit codes: a

@@ -14,8 +14,10 @@ from accessframe.analysis import SuccessPmf, SystemConfig, _decimal, success_pmf
 from accessframe.metrics import (
     Axis,
     FrameMetrics,
+    OptimalDataSlots,
     SweepReport,
     frame_metrics,
+    optimal_data_slots,
     sweep,
 )
 from accessframe.simulator import (
@@ -60,6 +62,12 @@ RECORDS = {
         ("axis", "rows"),
         lambda: sweep(CONFIG, Axis.USERS, [1, 2, 3]),
         ("values", "fixed"),
+    ),
+    "OptimalDataSlots": (
+        OptimalDataSlots,
+        ("tokens", "users", "k_max", "data_slots", "efficiency"),
+        lambda: OptimalDataSlots(8, 12, 8, *optimal_data_slots(8, 12, 8)),
+        (),
     ),
     "SimParams": (
         SimParams,

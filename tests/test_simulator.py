@@ -108,6 +108,15 @@ def test_frame_trace_validation():
         FrameTrace(cfg, DetectionMode.BINARY, (1, 2, 0), ())  # slot left idle
     with pytest.raises(ValueError):
         FrameTrace(cfg, DetectionMode.TERNARY, (1, 2, 0), (1,))  # ternary grant
+    # a mode given by its value is checked under its own rule
+    assert FrameTrace(cfg, "binary", (1, 2, 0), (1,)).mode is DetectionMode.BINARY
+    with pytest.raises(ValueError):
+        FrameTrace(cfg, "x", (1, 2, 0), (0,))  # no such mode
+    wide = SystemConfig(3, 2, 3)
+    with pytest.raises(ValueError):
+        FrameTrace(wide, DetectionMode.BINARY, (1, 1, 1), (0, 0))  # granted twice
+    with pytest.raises(ValueError):
+        FrameTrace(wide, DetectionMode.BINARY, (1, -1, 3), (0, 2))  # negative count
 
 
 def test_binary_counts_equal_ternary_when_everyone_fits():
