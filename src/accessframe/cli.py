@@ -3,10 +3,11 @@
 Subcommands map one-to-one onto the library: ``pmf`` (exact success
 distribution), ``metrics`` (rate and efficiency for one configuration),
 ``sweep`` (tables along the user or data-slot axis), ``simulate``
-(seeded Monte Carlo estimate), ``compare`` (simulation vs the exact pmf)
-and ``optimize-k`` (efficiency-maximizing data-phase size).  Arguments
-in, records out: each handler returns the record its library call made,
-and :func:`main` alone writes it, as ``to_csv()`` or ``to_json()`` and a
+(seeded Monte Carlo estimate), ``compare`` (``compare_to_exact(estimate,
+exact)``, the exact pmf built before any frame is drawn) and
+``optimize-k`` (efficiency-maximizing data-phase size).  Arguments in,
+records out: each handler returns the record its library call made, and
+:func:`main` alone writes it, as ``to_csv()`` or ``to_json()`` and a
 newline, to standard output or ``--output``; diagnostics go to stderr.
 
 Exit status: 0 on success, 1 when a value fails validation, the input
@@ -237,12 +238,12 @@ def _run_simulate(args: argparse.Namespace):
 
 
 def _run_compare(args: argparse.Namespace):
-    from .simulator import SimParams, _compare
+    from .simulator import SimParams, compare_to_exact
 
     params = SimParams(_config(args), args.iterations, args.seed)
     # the exact pmf first, so an input too large for it draws no frame
     exact = success_pmf(params.config)
-    return _compare(estimate_pmf(params), exact)
+    return compare_to_exact(estimate_pmf(params), exact)
 
 
 def _run_optimize(args: argparse.Namespace):

@@ -12,8 +12,11 @@ user activated it.  Two detection modes:
   only to single-user tokens.
 
 :func:`estimate_pmf` tallies the per-frame success count over N
-independent frames of one seeded stream; identical parameters give a
-bit-identical report.  Empirical masses are exact multiples of 1/N.
+independent frames of one seeded stream; its masses are exact multiples
+of 1/N.  Identical parameters give a bit-identical report under one
+numpy release, verified on numpy 2.4.6: NEP 19 does not freeze
+``Generator`` streams across releases, and :data:`RNG_ALGORITHM`
+versions only the package's own draws.
 Both tallies read only each frame's singles and active tokens, and a
 frame's (singles, active) state is a Markov chain over its users.
 Frames are independent copies of that chain, so instead of walking each
@@ -27,7 +30,9 @@ a step per state costs more than the per-frame walk it replaced.
 A uniform grant of min(a, data_slots) of the a active tokens delivers a
 hypergeometric number of the frame's singles, so the binary tally splits
 each state's frames by one multinomial draw over that law;
-:func:`simulate_frame` draws the granted tokens themselves.
+:func:`simulate_frame` draws the granted tokens themselves, and
+:func:`compare_to_exact` measures a report against an exact law that its
+caller builds: this module never builds one.
 
 numpy is imported at the first draw, inside :func:`make_rng`,
 :func:`simulate_frame` and :func:`estimate_pmf`, so the exact
@@ -51,7 +56,6 @@ from .analysis import (
     csv_fields,
     csv_float,
     json_rational,
-    success_pmf,
 )
 
 if TYPE_CHECKING:
@@ -70,8 +74,8 @@ __all__ = [
     "compare_to_exact",
 ]
 
-#: Generator behind every simulation; recorded in each report so the
-#: numbers can be regenerated by any implementation of this algorithm.
+#: Generator behind every simulation and version of the package's draws
+#: from it, recorded in each report; the draws also depend on numpy's release.
 RNG_ALGORITHM = "numpy-pcg64/v5"
 
 #: Each user's step through the occupied states costs about 33 us of
@@ -144,6 +148,8 @@ class FrameTrace(Record):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mode", DetectionMode(self.mode))
+        object.__setattr__(self, "counts", tuple(as_int(n) for n in self.counts))
+        object.__setattr__(self, "selected", tuple(as_int(t) for t in self.selected))
         if len(self.counts) != self.config.tokens:
             raise ValueError("one count per token")
         if min(self.counts) < 0 or sum(self.counts) != self.config.users:
@@ -186,12 +192,7 @@ def simulate_frame(
     grant = min(len(eligible), config.data_slots)
     selected = rng.choice(eligible, size=grant, replace=False)
 
-    return FrameTrace(
-        config=config,
-        mode=mode,
-        counts=tuple(int(n) for n in counts),
-        selected=tuple(sorted(int(tok) for tok in selected)),
-    )
+    return FrameTrace(config, mode, counts, sorted(selected))
 
 
 class EmpiricalReport(Record):
@@ -314,7 +315,7 @@ def estimate_pmf(params: SimParams) -> EmpiricalReport:
             tally[:columns] += rng.multinomial(frames[part], law).sum(axis=0)
     else:
         np.add.at(tally, np.minimum(singles, cap), frames)
-    return EmpiricalReport(params=params, counts=tuple(int(n) for n in tally))
+    return EmpiricalReport(params=params, counts=tally)
 
 
 def _walk_states(
@@ -423,25 +424,21 @@ class ComparisonRecord(Record):
         )
 
 
-def compare_to_exact(report: EmpiricalReport) -> ComparisonRecord:
-    """Total variation distance and worst per-mass gap between an
-    empirical pmf and the exact one.
+def compare_to_exact(report: EmpiricalReport, exact: SuccessPmf) -> ComparisonRecord:
+    """Total variation distance and worst per-mass gap between a
+    report's empirical pmf and ``exact``, the law of its configuration,
+    which the caller builds once, before drawing any frame.
 
-    Only binary mode has a closed-form reference; ternary reports are
-    rejected.  Both statistics are exact rationals in [0, 1].
+    Ternary reports and a law of another configuration are refused.
+    Each gap is an integer over the product of the two denominators, so
+    each statistic is one exact fraction in [0, 1].
     """
     if report.params.mode is not DetectionMode.BINARY:
         raise ValueError("no exact reference for ternary detection")
-    return _compare(report, success_pmf(report.params.config))
-
-
-def _compare(report: EmpiricalReport, exact: SuccessPmf) -> ComparisonRecord:
-    """:func:`compare_to_exact` against an exact pmf the caller built
-    (and whose cost guard it settled) before simulating.
-
-    Both laws are integer counts, so each gap is an integer over the
-    product of their denominators, and each statistic is one fraction.
-    """
+    if exact.config != report.params.config:
+        raise ValueError(
+            f"the exact law is of {exact.config}, the report of {report.params.config}"
+        )
     empirical = report.pmf_hat
     d_exact, d_sim = exact.denominator, empirical.denominator
     gaps = [

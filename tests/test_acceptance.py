@@ -91,10 +91,9 @@ def test_acceptance_simulation_convergence():
     distances = []
     for slots in (4, 8):
         for seed in (0, 1, 2):
-            params = SimParams(
-                SystemConfig(8, slots, 12), iterations=100000, seed=seed
-            )
-            record = compare_to_exact(estimate_pmf(params))
+            cfg = SystemConfig(8, slots, 12)
+            params = SimParams(cfg, iterations=100000, seed=seed)
+            record = compare_to_exact(estimate_pmf(params), success_pmf(cfg))
             distances.append(float(record.tv_distance))
     worst = max(distances)
     _gate(

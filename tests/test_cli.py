@@ -13,7 +13,13 @@ from fractions import Fraction
 
 import pytest
 
-from accessframe.analysis import Record, SuccessPmf, SystemConfig, parse_rational
+from accessframe.analysis import (
+    Record,
+    SuccessPmf,
+    SystemConfig,
+    parse_rational,
+    success_pmf,
+)
 from accessframe.cli import build_parser, main
 from accessframe.metrics import Axis, expected_successes, frame_metrics, sweep
 from accessframe.simulator import SimParams, compare_to_exact, estimate_pmf
@@ -348,9 +354,8 @@ def test_compare_reference_point_stays_close(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    record = compare_to_exact(
-        estimate_pmf(SimParams(SystemConfig(8, 8, 12), iterations=100000, seed=42))
-    )
+    params = SimParams(SystemConfig(8, 8, 12), iterations=100000, seed=42)
+    record = compare_to_exact(estimate_pmf(params), success_pmf(params.config))
     assert payload["tv_distance"] == float(record.tv_distance)
     assert 0 < payload["tv_distance"] <= 0.01
     assert payload["mode"] == "binary"

@@ -90,7 +90,7 @@ RECORDS = {
     "ComparisonRecord": (
         ComparisonRecord,
         ("params", "tv_distance", "max_abs_mass_error"),
-        lambda: compare_to_exact(estimate_pmf(PARAMS)),
+        lambda: compare_to_exact(estimate_pmf(PARAMS), success_pmf(CONFIG)),
         (),
     ),
 }

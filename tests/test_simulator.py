@@ -32,7 +32,7 @@ from accessframe.simulator import (
     make_rng,
     simulate_frame,
 )
-from accessframe.simulator import _GRANT_CELLS, _compare, _grant_law, _walk_states
+from accessframe.simulator import _GRANT_CELLS, _grant_law, _walk_states
 from oracles import brute_force_ternary_pmf
 
 
@@ -117,6 +117,11 @@ def test_frame_trace_validation():
         FrameTrace(wide, DetectionMode.BINARY, (1, 1, 1), (0, 0))  # granted twice
     with pytest.raises(ValueError):
         FrameTrace(wide, DetectionMode.BINARY, (1, -1, 3), (0, 2))  # negative count
+    # counts and selection given as lists are kept as tuples of ints, so the
+    # trace hashes and equals the same trace built from tuples
+    listed = FrameTrace(cfg, "binary", [1, 2, 0], [0])
+    assert (listed.counts, listed.selected) == ((1, 2, 0), (0,))
+    assert listed == good and hash(listed) == hash(good)
 
 
 def test_binary_counts_equal_ternary_when_everyone_fits():
@@ -416,16 +421,18 @@ def test_ternary_beats_binary_rate_under_load():
 
 
 def test_compare_to_exact_zero_distance_when_exactly_right():
-    report = estimate_pmf(SimParams(SystemConfig(8, 4, 1), iterations=500, seed=1))
-    record = compare_to_exact(report)
+    cfg = SystemConfig(8, 4, 1)
+    report = estimate_pmf(SimParams(cfg, iterations=500, seed=1))
+    record = compare_to_exact(report, success_pmf(cfg))
     assert record.tv_distance == 0
     assert record.max_abs_mass_error == 0
 
 
 def test_compare_to_exact_small_at_reference_size():
     for slots in (4, 8):
-        params = SimParams(SystemConfig(8, slots, 12), iterations=100000, seed=42)
-        record = compare_to_exact(estimate_pmf(params))
+        cfg = SystemConfig(8, slots, 12)
+        params = SimParams(cfg, iterations=100000, seed=42)
+        record = compare_to_exact(estimate_pmf(params), success_pmf(cfg))
         assert 0 <= record.tv_distance <= Fraction(1, 100)
         assert record.max_abs_mass_error <= 2 * record.tv_distance
 
@@ -458,27 +465,37 @@ def test_compare_equals_the_mass_by_mass_fraction_distance(laws):
         abs(Fraction(c, frames) - Fraction(e, sum(reference)))
         for c, e in zip(simulated, reference)
     ]
-    assert _compare(report, exact) == ComparisonRecord(
+    assert compare_to_exact(report, exact) == ComparisonRecord(
         report.params, sum(gaps) / 2, max(gaps)
     )
 
 
 def test_compare_rejects_ternary():
-    report = estimate_pmf(
-        SimParams(SystemConfig(4, 2, 5), iterations=100, seed=0, mode="ternary")
-    )
-    with pytest.raises(ValueError):
-        compare_to_exact(report)
+    cfg = SystemConfig(4, 2, 5)
+    report = estimate_pmf(SimParams(cfg, iterations=100, seed=0, mode="ternary"))
+    with pytest.raises(ValueError, match="ternary"):
+        compare_to_exact(report, success_pmf(cfg))
+
+
+def test_compare_rejects_a_law_of_another_config():
+    # the same number of outcomes, so only the configuration tells them apart
+    cfg = SystemConfig(8, 4, 12)
+    report = estimate_pmf(SimParams(cfg, iterations=2000, seed=42))
+    for other in (cfg.replace(tokens=9), cfg.replace(users=13)):
+        with pytest.raises(ValueError, match="exact law is of"):
+            compare_to_exact(report, success_pmf(other))
 
 
 def test_tv_distance_shrinks_with_more_frames():
     cfg = SystemConfig(8, 4, 12)
+    exact = success_pmf(cfg)
     medians = []
     for iterations in (1000, 10000, 100000):
         distances = [
             float(
                 compare_to_exact(
-                    estimate_pmf(SimParams(cfg, iterations=iterations, seed=seed))
+                    estimate_pmf(SimParams(cfg, iterations=iterations, seed=seed)),
+                    exact,
                 ).tv_distance
             )
             for seed in (11, 12, 13)
@@ -516,7 +533,7 @@ def test_report_csv_extends_metrics_schema():
 
 def test_comparison_record_serialization():
     params = SimParams(SystemConfig(8, 8, 12), iterations=5000, seed=6)
-    record = compare_to_exact(estimate_pmf(params))
+    record = compare_to_exact(estimate_pmf(params), success_pmf(params.config))
     payload = json.loads(record.to_json())
     assert set(payload) == {
         "M", "K", "T", "mode", "seed", "iterations", "rng",
