@@ -10,7 +10,8 @@ exact pmf.
 
 Importing the package loads none of its modules: each name below is
 imported from its module on first access (PEP 562), so a program pays
-only for the modules it uses.
+only for the modules it uses.  ``_EXPORTS`` is the one list of those
+names: it is also the ``__all__`` of each module it lists.
 """
 
 import importlib
@@ -26,6 +27,7 @@ _EXPORTS = {
     "metrics": (
         "Axis",
         "FrameMetrics",
+        "OptimalDataSlots",
         "SweepReport",
         "expected_successes",
         "frame_metrics",

@@ -44,14 +44,10 @@ from fractions import Fraction
 from operator import index as as_int
 from operator import mul, sub
 
+from . import _EXPORTS
 from .combinatorics import exact_work, refuse_oversized, surjection_rows
 
-__all__ = [
-    "SystemConfig",
-    "PmfKind",
-    "SuccessPmf",
-    "success_pmf",
-]
+__all__ = [*_EXPORTS["analysis"]]
 
 
 class Record:
@@ -417,12 +413,6 @@ class SuccessPmf(Record):
     def mass(self) -> tuple[Fraction, ...]:
         """P(S = d) for each d, each reduced on its own."""
         return tuple(Fraction(c, self.denominator) for c in self.counts)
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-    def __getitem__(self, d: int) -> Fraction:
-        return Fraction(self.counts[d], self.denominator)
 
     def mean(self) -> Fraction:
         """Expected number of successes per frame."""

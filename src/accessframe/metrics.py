@@ -47,6 +47,7 @@ from numbers import Rational
 from operator import attrgetter, mul
 from operator import index as as_int
 
+from . import _EXPORTS
 from .analysis import (
     CSV_HEADER,
     Record,
@@ -57,17 +58,7 @@ from .analysis import (
 )
 from .combinatorics import exact_work, refuse_oversized, surjection_rows
 
-__all__ = [
-    "Axis",
-    "FrameMetrics",
-    "OptimalDataSlots",
-    "SweepReport",
-    "CSV_HEADER",
-    "expected_successes",
-    "frame_metrics",
-    "sweep",
-    "optimal_data_slots",
-]
+__all__ = [*_EXPORTS["metrics"]]
 
 class Axis(str, Enum):
     """Which configuration field a sweep varies."""

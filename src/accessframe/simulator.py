@@ -47,6 +47,7 @@ from fractions import Fraction
 from operator import index as as_int
 from typing import TYPE_CHECKING
 
+from . import _EXPORTS
 from .analysis import (
     CSV_HEADER,
     PmfKind,
@@ -61,18 +62,7 @@ from .analysis import (
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = [
-    "RNG_ALGORITHM",
-    "DetectionMode",
-    "SimParams",
-    "FrameTrace",
-    "EmpiricalReport",
-    "ComparisonRecord",
-    "make_rng",
-    "simulate_frame",
-    "estimate_pmf",
-    "compare_to_exact",
-]
+__all__ = [*_EXPORTS["simulator"]]
 
 #: Generator behind every simulation and version of the package's draws
 #: from it, recorded in each report; the draws also depend on numpy's release.

@@ -126,7 +126,7 @@ def test_success_pmf_no_users_is_point_mass():
 
 def test_success_pmf_support_and_kind():
     pmf = success_pmf(SystemConfig(8, 4, 12))
-    assert len(pmf) == 5  # d = 0 .. min(M, K, T)
+    assert len(pmf.counts) == 5  # d = 0 .. min(M, K, T)
     assert pmf.kind is PmfKind.EXACT
     assert sum(pmf.mass) == 1
 

@@ -659,6 +659,33 @@ except AttributeError as exc:
     assert result.stdout == "module 'accessframe' has no attribute 'no_such_name'\n"
 
 
+def test_every_record_is_exported_from_the_package():
+    script = """
+import accessframe
+from accessframe import analysis, metrics, simulator
+from accessframe.analysis import Record
+records = {
+    name: value
+    for module in (analysis, metrics, simulator)
+    for name, value in vars(module).items()
+    if isinstance(value, type) and issubclass(value, Record) and value is not Record
+    and value.__module__ == module.__name__
+}
+print(sorted(records))
+print(sorted(
+    name for name, value in records.items()
+    if name not in accessframe.__all__ or getattr(accessframe, name, None) is not value
+))
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    found, missing = result.stdout.splitlines()
+    assert "OptimalDataSlots" in found
+    assert missing == "[]"
+
+
 @pytest.mark.parametrize("probe", list(PROBED))
 def test_numpy_is_imported_only_to_draw(probe):
     argv, expected, _ = PROBED[probe]
