@@ -10,9 +10,15 @@ records out: each handler returns the record its library call made, and
 :func:`main` alone writes it, as ``to_csv()`` or ``to_json()`` and a
 newline, to standard output or ``--output``; diagnostics go to stderr.
 
-Exit status: 0 on success, 1 when a value fails validation, the input
-is too large to compute or the output cannot be written, 2 on usage
-errors (a missing or unknown flag, an unreadable argument file).
+Each subcommand takes only the flags it reads: ``optimize-k`` takes
+``--tokens`` and ``--users``, and ``sweep`` takes ``--tokens`` and the
+flag of the axis it holds fixed, the swept one's values coming from
+``--range`` alone.
+
+Exit status: 0 on success, 1 when a value fails validation, a sweep is
+given its swept axis's flag, the input is too large to compute or the
+output cannot be written, 2 on usage errors (a missing or unknown flag,
+an unreadable argument file).
 
 The command line is the only input: no environment variable changes
 what is written.  ``accessframe <subcommand> @FILE`` reads further
@@ -51,26 +57,28 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+_CONFIG_HELP = {
+    "tokens": "contention tokens available per frame (M)",
+    "slots": "data slots per frame (K)",
+    "users": "users contending in the frame (T)",
+}
+
+
 def _add_config_flags(
-    parser: argparse.ArgumentParser, *, required: tuple[str, ...]
+    parser: argparse.ArgumentParser, *names: str, required: bool = True
 ) -> None:
+    for name in names:
+        parser.add_argument(
+            f"--{name}", type=int, required=required, help=_CONFIG_HELP[name]
+        )
+
+
+def _add_draw_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--tokens",
-        type=int,
-        required="tokens" in required,
-        help="contention tokens available per frame (M)",
+        "--seed", type=int, required=True, help="64-bit unsigned stream seed"
     )
     parser.add_argument(
-        "--slots",
-        type=int,
-        required="slots" in required,
-        help="data slots per frame (K)",
-    )
-    parser.add_argument(
-        "--users",
-        type=int,
-        required="users" in required,
-        help="users contending in the frame (T)",
+        "--iterations", type=int, default=100000, help="frames to draw"
     )
 
 
@@ -86,21 +94,22 @@ def build_parser() -> argparse.ArgumentParser:
     pmf = sub.add_parser(
         "pmf", help="distribution of per-frame successes"
     )
-    _add_config_flags(pmf, required=("tokens", "slots", "users"))
+    _add_config_flags(pmf, "tokens", "slots", "users")
     _add_output_flags(pmf)
     pmf.set_defaults(handler=_run_pmf)
 
     metrics = sub.add_parser(
         "metrics", help="expected successes, success rate and efficiency"
     )
-    _add_config_flags(metrics, required=("tokens", "slots", "users"))
+    _add_config_flags(metrics, "tokens", "slots", "users")
     _add_output_flags(metrics)
     metrics.set_defaults(handler=_run_metrics)
 
     sweep_cmd = sub.add_parser(
         "sweep", help="tabulate metrics along the user or data-slot axis"
     )
-    _add_config_flags(sweep_cmd, required=("tokens",))
+    _add_config_flags(sweep_cmd, "tokens")
+    _add_config_flags(sweep_cmd, "slots", "users", required=False)
     sweep_cmd.add_argument(
         "--axis",
         choices=("users", "data-slots"),
@@ -119,13 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser(
         "simulate", help="seeded Monte Carlo estimate of the success pmf"
     )
-    _add_config_flags(simulate, required=("tokens", "slots", "users"))
-    simulate.add_argument(
-        "--seed", type=int, required=True, help="64-bit unsigned stream seed"
-    )
-    simulate.add_argument(
-        "--iterations", type=int, default=100000, help="frames to draw"
-    )
+    _add_config_flags(simulate, "tokens", "slots", "users")
+    _add_draw_flags(simulate)
     simulate.add_argument(
         "--mode",
         choices=("binary", "ternary"),
@@ -138,20 +142,15 @@ def build_parser() -> argparse.ArgumentParser:
     compare = sub.add_parser(
         "compare", help="distance between a simulated and the exact pmf"
     )
-    _add_config_flags(compare, required=("tokens", "slots", "users"))
-    compare.add_argument(
-        "--seed", type=int, required=True, help="64-bit unsigned stream seed"
-    )
-    compare.add_argument(
-        "--iterations", type=int, default=100000, help="frames to draw"
-    )
+    _add_config_flags(compare, "tokens", "slots", "users")
+    _add_draw_flags(compare)
     _add_output_flags(compare)
     compare.set_defaults(handler=_run_compare)
 
     optimize = sub.add_parser(
         "optimize-k", help="data-phase size that maximizes efficiency"
     )
-    _add_config_flags(optimize, required=("tokens", "users"))
+    _add_config_flags(optimize, "tokens", "users")
     optimize.add_argument(
         "--k-max", type=int, required=True, help="largest data-phase size to try"
     )
@@ -208,27 +207,22 @@ def _run_metrics(args: argparse.Namespace):
     return frame_metrics(_config(args))
 
 
-def _parse_range(value: str) -> tuple[int, int]:
-    try:
-        lo, hi = map(int, value.split(":"))
-    except ValueError:
-        raise ValueError(f"range must be LO:HI, got {value!r}") from None
-    return lo, hi
-
-
 def _run_sweep(args: argparse.Namespace):
-    from .analysis import SystemConfig
     from .metrics import Axis
 
     axis = Axis(args.axis.replace("-", "_"))
-    lo, hi = _parse_range(args.range)
-    needed = "slots" if axis is Axis.USERS else "users"
+    try:
+        lo, hi = map(int, args.range.split(":"))
+    except ValueError:
+        raise ValueError(f"range must be LO:HI, got {args.range!r}") from None
+    swept, needed = ("users", "slots") if axis is Axis.USERS else ("slots", "users")
+    if getattr(args, swept) is not None:
+        raise ValueError(f"drop --{swept}: --axis {args.axis} sweeps it over --range")
     if getattr(args, needed) is None:
         raise ValueError(f"sweep needs --{needed}")
-    # the swept field's base value is never read; fill it with anything valid
-    slots = 1 if args.slots is None else args.slots
-    users = 0 if args.users is None else args.users
-    return sweep(SystemConfig(args.tokens, slots, users), axis, range(lo, hi + 1))
+    # sweep never reads the base's swept field, and 1 is valid for either
+    setattr(args, swept, 1)
+    return sweep(_config(args), axis, range(lo, hi + 1))
 
 
 def _run_simulate(args: argparse.Namespace):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import functools
 import gc
 import hashlib
@@ -94,13 +95,49 @@ def test_pmf_has_no_method_option(capsys):
     assert "--method" in captured.err
 
 
-def test_usage_failure_exits_two(capsys):
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("simulate", "--tokens", "4", "--slots", "2", "--users", "6"), "--seed"),
+        # optimize-k tries every K up to --k-max, so it reads no --slots
+        (("optimize-k", "--tokens", "4", "--users", "3", "--k-max", "3",
+          "--slots", "4"), "--slots"),
+    ],
+    ids=["simulate-without-seed", "optimize-k-with-slots"],
+)
+def test_usage_failure_exits_two(capsys, argv, flag):
     with pytest.raises(SystemExit) as excinfo:
-        main(["simulate", "--tokens", "4", "--slots", "2", "--users", "6"])
+        main(list(argv))
     assert excinfo.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--seed" in captured.err
+    assert flag in captured.err
+
+
+#: The flags each subcommand reads, and no other: a flag that a handler
+#: ignores would let a command line say more than the document it writes.
+SUBCOMMAND_FLAGS = {
+    "pmf": {"--tokens", "--slots", "--users"},
+    "metrics": {"--tokens", "--slots", "--users"},
+    "sweep": {"--tokens", "--slots", "--users", "--axis", "--range"},
+    "simulate": {"--tokens", "--slots", "--users", "--seed", "--iterations",
+                 "--mode"},
+    "compare": {"--tokens", "--slots", "--users", "--seed", "--iterations"},
+    "optimize-k": {"--tokens", "--users", "--k-max"},
+}
+
+
+def _subparsers() -> dict:
+    (action,) = (action for action in build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    return action.choices
+
+
+@pytest.mark.parametrize("command", list(_subparsers()))
+def test_each_subcommand_takes_only_the_flags_it_reads(command):
+    flags = {option for action in _subparsers()[command]._actions
+             for option in action.option_strings}
+    assert flags == SUBCOMMAND_FLAGS[command] | {"-h", "--help", "--format", "--output"}
 
 
 #: A simulation over 2**63 + 1 tokens, one more than simulate_frame's
@@ -135,10 +172,10 @@ def test_oversized_input_exits_one_with_hint(capsys):
         (("simulate", *TOO_MANY_TOKENS), token_hint),
         (("compare", *TOO_MANY_TOKENS), token_hint),
         (("metrics", "--tokens", "64", "--slots", "8", "--users", "100000"), exact_hint),
-        (("sweep", "--tokens", "8", "--slots", "4", "--users", "12",
+        (("sweep", "--tokens", "8", "--users", "12",
           "--axis", "data-slots", "--range", "1:10000000"), exact_hint),
         # more sweep values than len() of a range can count
-        (("sweep", "--tokens", "8", "--slots", "4", "--users", "12",
+        (("sweep", "--tokens", "8", "--users", "12",
           "--axis", "data-slots", "--range", f"1:{10**20}"), exact_hint),
         (("sweep", "--tokens", "8", "--slots", "4",
           "--axis", "users", "--range", f"1:{10**20}"), exact_hint),
@@ -436,8 +473,15 @@ def test_sweep_without_a_required_flag_exits_two(capsys, missing):
          "sweep needs --users"),
         (("--tokens", "8", "--slots", "4", "--axis", "users", "--range", "0:3"),
          "success rate needs at least one user"),
+        # the swept axis takes its values from --range alone
+        (("--tokens", "8", "--slots", "4", "--users", "999", "--axis", "users",
+          "--range", "1:3"), "drop --users: --axis users sweeps it over --range"),
+        (("--tokens", "8", "--slots", "77", "--users", "12", "--axis",
+          "data-slots", "--range", "1:3"),
+         "drop --slots: --axis data-slots sweeps it over --range"),
     ],
-    ids=["range", "no-slots-flag", "no-users-flag", "no-users"],
+    ids=["range", "no-slots-flag", "no-users-flag", "no-users", "users-flag-on-users",
+         "slots-flag-on-data-slots"],
 )
 def test_sweep_input_errors_exit_one(capsys, argv, message):
     code, out, err = run_cli(capsys, "sweep", *argv)
