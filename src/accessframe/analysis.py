@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from enum import Enum
 from fractions import Fraction
 from operator import index as as_int
@@ -189,18 +190,15 @@ def _repr(value) -> str:
     return repr(value)
 
 
-def _parse_decimal(text: str) -> int:
-    """``int(text)`` for an optionally signed run of decimal digits at any
-    size, the inverse of :func:`_decimal`."""
+def _parse_decimal(digits: str) -> int:
+    """The int a non-empty run of ASCII digits spells, at any size: read by
+    ``int()`` under the interpreter's digit limit, split in halves past it."""
     try:
-        return int(text)
+        return int(digits)
     except ValueError:
-        digits = text.removeprefix("-")
-        if not (digits.isascii() and digits.isdigit()):
-            raise
+        pass
     k = len(digits) // 2
-    value = _parse_decimal(digits[:-k]) * 10**k + _parse_decimal(digits[-k:])
-    return -value if text.startswith("-") else value
+    return _parse_decimal(digits[:-k]) * 10**k + _parse_decimal(digits[-k:])
 
 
 def json_rational(value: Fraction | None) -> str | None:
@@ -212,24 +210,19 @@ def json_rational(value: Fraction | None) -> str | None:
 
 
 def parse_rational(text: str) -> Fraction:
-    """``Fraction(text)``, also for a ``"numerator/denominator"`` string
-    too long for it (the inverse of :func:`json_rational`).  Anything else
-    (not a string, malformed, or over a zero denominator) raises
-    ``ValueError``."""
+    """The rational a :func:`json_rational` string spells, at any length:
+    an optional ``-``, ASCII digits, ``/`` and ASCII digits.  Anything else
+    (not a string, another form such as ``"0.5"``, or a zero denominator)
+    raises ``ValueError``."""
     if not isinstance(text, str):
         raise ValueError(f"a rational must be a string, got {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
-    except ValueError:
-        numerator, slash, denominator = text.partition("/")
-        # the denominator is unsigned, as Fraction reads it
-        if not (slash and denominator.isascii() and denominator.isdigit()):
-            raise
+    numerator, _, denominator = text.removeprefix("-").partition("/")
+    if not all(side.isascii() and side.isdigit() for side in (numerator, denominator)):
+        raise ValueError(f"not a [-]digits/digits rational: {reprlib.repr(text)}")
     if not denominator.strip("0"):
-        raise ValueError("zero denominator in a rational past the digit limit")
-    return Fraction(_parse_decimal(numerator), _parse_decimal(denominator))
+        raise ValueError(f"zero denominator in {reprlib.repr(text)}")
+    value = Fraction(_parse_decimal(numerator), _parse_decimal(denominator))
+    return -value if text.startswith("-") else value
 
 
 def _is_int(value) -> bool:
@@ -427,9 +420,11 @@ class SuccessPmf(Record):
 
     @classmethod
     def from_json(cls, text: str) -> "SuccessPmf":
-        """The record a :meth:`to_json` document holds.  Its masses are
-        put over the least common multiple of their denominators, so a
-        document that is not a law is refused like any other record."""
+        """The record a :meth:`to_json` document holds.  Each mass is read
+        by :func:`parse_rational`, in the one form :meth:`to_json` writes,
+        and the masses are put over the least common multiple of their
+        denominators, so a document that is not a law is refused like any
+        other record."""
         payload = json.loads(text)
         fields = ("M", "K", "T", "kind", "mass")
         if not isinstance(payload, dict) or not payload.keys() >= set(fields):

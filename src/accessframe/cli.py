@@ -18,7 +18,8 @@ flag of the axis it holds fixed, the swept one's values coming from
 Exit status: 0 on success, 1 when a value fails validation, a sweep is
 given its swept axis's flag, the input is too large to compute or the
 output cannot be written, 2 on usage errors (a missing or unknown flag,
-an unreadable argument file).
+an unreadable argument file), which name the subcommand when they
+follow it.
 
 The command line is the only input: no environment variable changes
 what is written.  ``accessframe <subcommand> @FILE`` reads further
@@ -82,6 +83,18 @@ def _add_draw_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, which reports an argument it does not take
+    under its own usage line; argparse would hand it back to the
+    top-level parser, whose usage names no subcommand."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="accessframe",
@@ -89,7 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
         "access reservation frame (token contention plus TDM data slots).",
         fromfile_prefix_chars="@",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_SubcommandParser
+    )
 
     pmf = sub.add_parser(
         "pmf", help="distribution of per-frame successes"

@@ -79,6 +79,14 @@ RNG_ALGORITHM = "numpy-pcg64/v5"
 _STEP_STATES = 100
 _WALK_LIMIT = 6_000_000_000
 
+#: Most tokens plus users in one :func:`simulate_frame`, which holds the
+#: frame's int64 draws, its per-token counts and their trace in memory.
+#: Peak RSS grows by about 8 bytes per user and 15 per token, up to 105
+#: per token when most tokens are active (2-core Xeon: 0.25 s and 14 MB
+#: at M=10^6 T=12, 0.1 s and 76 MB at M=12 T=10^7, 0.3 s and 100 MB at
+#: M=T=10^6), so a frame at the limit takes at most about 0.6 GB and 3 s.
+_FRAME_LIMIT = 10_000_000
+
 #: Float cells in one chunk of the binary grant's hypergeometric rows.
 _GRANT_CELLS = 1 << 15
 
@@ -167,8 +175,16 @@ def simulate_frame(
     """Run one frame and return its full trace.
 
     The granted subset is min(eligible, data_slots) eligible tokens
-    drawn uniformly without replacement.
+    drawn uniformly without replacement.  Raises ``ValueError`` before
+    drawing when tokens and users together are over
+    :data:`_FRAME_LIMIT`.
     """
+    if config.tokens + config.users > _FRAME_LIMIT:
+        raise ValueError(
+            f"a frame of {config.tokens} tokens and {config.users} users is over "
+            f"the limit of {_FRAME_LIMIT:.0e} tokens plus users that one traced "
+            "frame holds in memory; use fewer tokens or users"
+        )
     import numpy as np
 
     mode = DetectionMode(mode)
@@ -258,17 +274,14 @@ def estimate_pmf(params: SimParams) -> EmpiricalReport:
     tokens, or 2**63 frames or more, past what a 64-bit count holds, or
     when the walk's price (see :data:`_WALK_LIMIT`) is over its limit.
     The walk itself indexes no token: it keys states by min(tokens,
-    users) and reads the token count only as a float.  The token limit
-    is kept so that every run :func:`estimate_pmf` accepts is one whose
-    frames :func:`simulate_frame` can also draw, and its int64 draw
-    indexes at most 2**63 tokens.
+    users) and reads the token count only as a float, so it accepts far
+    larger frames than :func:`simulate_frame`, which holds each one.
     """
     cfg = params.config
     if cfg.tokens > 2**63:
         raise ValueError(
-            f"simulating {cfg.tokens} tokens is over the limit of 2**63 tokens "
-            "that simulate_frame's int64 draw can index, kept so both "
-            "simulators accept the same frames; use fewer tokens"
+            f"simulating {cfg.tokens} tokens is over the limit of 2**63 tokens, "
+            "the most a 64-bit index holds; use fewer tokens"
         )
     if params.iterations >= 2**63:
         raise ValueError(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import re
 import sys
 import threading
@@ -11,7 +12,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from accessframe.analysis import (
@@ -345,6 +346,49 @@ def test_parse_rational_still_rejects_malformed_text():
     for text in ("1/0", "1" * 5000 + "/0", "1/-2", "1" * 5000 + "/-2", 0.5, 1, None):
         with pytest.raises(ValueError):
             parse_rational(text)
+
+
+#: ints of 0 to 40000 bits (up to 12042 digits), drawn from a bit count
+#: and a seed so that one example stays a few bytes of hypothesis data
+big_ints = st.builds(
+    lambda bits, seed: random.Random(seed).getrandbits(bits),
+    st.integers(0, 40_000),
+    st.integers(0, 2**32),
+)
+
+
+@settings(deadline=None)
+@given(big_ints, big_ints, st.booleans())
+@example(0, 0, True)
+@example(10**12000 - 1, 10**6000, True)  # 12000 nines over 1 and 6000 zeros
+def test_parse_rational_inverts_json_rational(numerator, denominator, negative):
+    value = Fraction(-numerator if negative else numerator, denominator + 1)
+    assert parse_rational(json_rational(value)) == value
+
+
+#: forms Fraction reads, but no document writes
+OTHER_FORMS = ["3", "0.5", " 1/2", "+1/2", "1_0/3", "1e3"]
+
+
+@pytest.mark.parametrize("text", OTHER_FORMS)
+def test_parse_rational_reads_one_form_at_every_length(text):
+    # the same form with 4400 zeros before its first digit
+    first = next(i for i, c in enumerate(text) if c.isdigit())
+    padded = text[:first] + "0" * 4400 + text[first:]
+    for form in (text, padded):
+        with pytest.raises(ValueError, match=r"^not a \[-\]digits/digits rational: "):
+            parse_rational(form)
+
+
+def test_parse_rational_has_one_zero_denominator_message():
+    messages = []
+    for text in ("1/0", "-1/00", "1" * 5000 + "/0", "-" + "1" * 5000 + "/" + "0" * 5000):
+        with pytest.raises(ValueError) as excinfo:
+            parse_rational(text)
+        messages.append(str(excinfo.value))
+    assert all(m.startswith("zero denominator in '") for m in messages), messages
+    # the text is clipped, however long it is
+    assert max(map(len, messages)) < 80
 
 
 def test_pmf_json_round_trip_past_the_str_limit():

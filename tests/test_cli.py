@@ -112,6 +112,8 @@ def test_usage_failure_exits_two(capsys, argv, flag):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert flag in captured.err
+    # the subcommand's own parser reports it, under its own usage line
+    assert captured.err.startswith(f"usage: accessframe {argv[0]} ")
 
 
 #: The flags each subcommand reads, and no other: a flag that a handler
@@ -140,10 +142,9 @@ def test_each_subcommand_takes_only_the_flags_it_reads(command):
     assert flags == SUBCOMMAND_FLAGS[command] | {"-h", "--help", "--format", "--output"}
 
 
-#: A simulation over 2**63 + 1 tokens, one more than simulate_frame's
-#: int64 draw can index.  The state walk indexes no token, so estimate_pmf
-#: refuses it only to accept the same frames as simulate_frame; every
-#: other size is small.
+#: A simulation over 2**63 + 1 tokens, one more than a 64-bit index
+#: holds.  The state walk indexes no token, but estimate_pmf refuses it
+#: all the same; every other size is small.
 TOO_MANY_TOKENS = ("--tokens", str(2**63 + 1), "--slots", "1", "--users", "3",
                    "--seed", "1", "--iterations", "10")
 
@@ -151,8 +152,8 @@ TOO_MANY_TOKENS = ("--tokens", str(2**63 + 1), "--slots", "1", "--users", "3",
 def test_oversized_input_exits_one_with_hint(capsys):
     # too long a surjection roll, too large a moment sum, a walk over too
     # many state-steps (compare's exact pmf refuses it first, and its
-    # cost grows with tokens too), more tokens than simulate_frame's
-    # int64 draw can index, and too many sweep values
+    # cost grows with tokens too), more tokens than a 64-bit index
+    # holds, and too many sweep values
     simulation = ("--tokens", "8", "--slots", "4", "--users", "400000000",
                   "--seed", "1", "--iterations", "100000")
     exact_hint = "fewer users or tokens"

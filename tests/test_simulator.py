@@ -94,6 +94,24 @@ def test_ternary_never_grants_a_collided_token():
         assert trace.successes == len(trace.selected)
 
 
+def test_simulate_frame_refuses_oversized_frames_before_drawing():
+    # a frame holds its draws and a count per token, so one past the
+    # limit is refused before numpy allocates any of them
+    rng = make_rng(1)
+    state = rng.bit_generator.state
+    tracemalloc.start()
+    try:
+        for mode in DetectionMode:
+            for tokens, users in ((10**12, 12), (12, 10**12), (10**7, 1)):
+                with pytest.raises(ValueError, match="fewer tokens or users"):
+                    simulate_frame(SystemConfig(tokens, 4, users), mode, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert rng.bit_generator.state == state
+
+
 def test_frame_trace_validation():
     cfg = SystemConfig(3, 1, 3)
     good = FrameTrace(cfg, DetectionMode.BINARY, (1, 2, 0), (0,))
