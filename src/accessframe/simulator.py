@@ -81,10 +81,10 @@ _WALK_LIMIT = 6_000_000_000
 
 #: Most tokens plus users in one :func:`simulate_frame`, which holds the
 #: frame's int64 draws, its per-token counts and their trace in memory.
-#: Peak RSS grows by about 8 bytes per user and 15 per token, up to 105
-#: per token when most tokens are active (2-core Xeon: 0.25 s and 14 MB
-#: at M=10^6 T=12, 0.1 s and 76 MB at M=12 T=10^7, 0.3 s and 100 MB at
-#: M=T=10^6), so a frame at the limit takes at most about 0.6 GB and 3 s.
+#: Peak RSS grows by about 8 bytes per user and 17-28 per token (2-core
+#: Xeon: 0.05 s and 22 MB at M=10^6 T=12, 0.06 s and 76 MB at M=12 T=10^7,
+#: 0.08 s and 36 MB at M=T=10^6), so a frame at the limit takes at most
+#: about 0.25 GB and 0.6 s; memory, not time, is what the limit bounds.
 _FRAME_LIMIT = 10_000_000
 
 #: Float cells in one chunk of the binary grant's hypergeometric rows.
@@ -146,21 +146,21 @@ class FrameTrace(Record):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mode", DetectionMode(self.mode))
-        object.__setattr__(self, "counts", tuple(as_int(n) for n in self.counts))
-        object.__setattr__(self, "selected", tuple(as_int(t) for t in self.selected))
-        if len(self.counts) != self.config.tokens:
+        object.__setattr__(self, "counts", tuple(map(as_int, self.counts)))
+        object.__setattr__(self, "selected", tuple(map(as_int, self.selected)))
+        counts, selected, tokens = self.counts, self.selected, self.config.tokens
+        if len(counts) != tokens:
             raise ValueError("one count per token")
-        if min(self.counts) < 0 or sum(self.counts) != self.config.users:
+        if min(counts) < 0 or sum(counts) != self.config.users:
             raise ValueError("counts must be >= 0 and sum to the number of users")
-        eligible = [
-            tok
-            for tok, n in enumerate(self.counts)
-            if (n >= 1 if self.mode is DetectionMode.BINARY else n == 1)
-        ]
-        if len(self.selected) != min(len(eligible), self.config.data_slots):
+        binary = self.mode is DetectionMode.BINARY
+        eligible = tokens - counts.count(0) if binary else counts.count(1)
+        if len(selected) != min(eligible, self.config.data_slots):
             raise ValueError("selection must fill min(eligible, data_slots) slots")
-        granted = set(self.selected)
-        if len(granted) < len(self.selected) or not granted <= set(eligible):
+        # a grant past either end would wrap or miss: look up only those in range
+        granted = [counts[tok] for tok in selected if 0 <= tok < tokens]
+        held = len(granted) - granted.count(0) if binary else granted.count(1)
+        if held < len(selected) or len(set(selected)) < len(selected):
             raise ValueError("selected tokens must be eligible, each once")
 
     @property
@@ -175,9 +175,9 @@ def simulate_frame(
     """Run one frame and return its full trace.
 
     The granted subset is min(eligible, data_slots) eligible tokens
-    drawn uniformly without replacement.  Raises ``ValueError`` before
-    drawing when tokens and users together are over
-    :data:`_FRAME_LIMIT`.
+    drawn uniformly without replacement, handed to the trace with the
+    counts as Python ints.  Raises ``ValueError`` before drawing when
+    tokens and users together are over :data:`_FRAME_LIMIT`.
     """
     if config.tokens + config.users > _FRAME_LIMIT:
         raise ValueError(
@@ -191,14 +191,11 @@ def simulate_frame(
     choices = rng.integers(0, config.tokens, size=config.users)
     counts = np.bincount(choices, minlength=config.tokens)
 
-    if mode is DetectionMode.BINARY:
-        eligible = np.flatnonzero(counts)
-    else:
-        eligible = np.flatnonzero(counts == 1)
+    eligible = np.flatnonzero(counts if mode is DetectionMode.BINARY else counts == 1)
     grant = min(len(eligible), config.data_slots)
     selected = rng.choice(eligible, size=grant, replace=False)
 
-    return FrameTrace(config, mode, counts, sorted(selected))
+    return FrameTrace(config, mode, counts.tolist(), sorted(selected.tolist()))
 
 
 class EmpiricalReport(Record):
@@ -270,19 +267,14 @@ def estimate_pmf(params: SimParams) -> EmpiricalReport:
     multinomial draw over that law; in ternary mode every frame of the
     state delivers min(singles, data_slots) and no grant is drawn.
 
-    Raises ``ValueError`` before drawing when there are more than 2**63
-    tokens, or 2**63 frames or more, past what a 64-bit count holds, or
-    when the walk's price (see :data:`_WALK_LIMIT`) is over its limit.
-    The walk itself indexes no token: it keys states by min(tokens,
-    users) and reads the token count only as a float, so it accepts far
-    larger frames than :func:`simulate_frame`, which holds each one.
+    Raises ``ValueError`` before drawing on 2**63 frames or more, past
+    what a 64-bit count holds, on a walk priced (see :data:`_WALK_LIMIT`)
+    over its limit, or on a token count past float range (1.8e308).  The
+    walk indexes no token: it keys states by min(tokens, users) and reads
+    the token count only as a float, so it takes far larger frames than
+    :func:`simulate_frame`, which holds each one.
     """
     cfg = params.config
-    if cfg.tokens > 2**63:
-        raise ValueError(
-            f"simulating {cfg.tokens} tokens is over the limit of 2**63 tokens, "
-            "the most a 64-bit index holds; use fewer tokens"
-        )
     if params.iterations >= 2**63:
         raise ValueError(
             f"simulating {params.iterations} frames is over the limit of "
@@ -302,10 +294,9 @@ def estimate_pmf(params: SimParams) -> EmpiricalReport:
             f"{steps} state-steps, over the limit of {_WALK_LIMIT:.3g}; "
             "use fewer users or frames"
         )
+    rng, singles, active, frames = _walk_states(params)
     import numpy as np
 
-    rng = make_rng(params.seed)
-    singles, active, frames = _walk_states(rng, cfg, params.iterations)
     cap = cfg.max_successes
     tally = np.zeros(cap + 1, dtype=np.int64)
     if params.mode is DetectionMode.BINARY:
@@ -322,13 +313,14 @@ def estimate_pmf(params: SimParams) -> EmpiricalReport:
 
 
 def _walk_states(
-    rng: np.random.Generator, config: SystemConfig, frames: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Walk ``frames`` fresh frames through the users together.
+    params: SimParams,
+) -> tuple[np.random.Generator, np.ndarray, np.ndarray, np.ndarray]:
+    """Walk ``params.iterations`` fresh frames through the users together.
 
-    Returns three int64 vectors over the occupied states: the singles,
-    the active tokens and how many frames end in that state.  States are
-    distinct and each holds at least one frame.
+    Returns the stream that ``params.seed`` starts, for the draws after
+    the walk, and three int64 vectors over the distinct occupied states:
+    the singles, the active tokens and the frames (one or more) that end
+    there.  A token count past float range is refused before numpy loads.
 
     In one frame a user's uniform choice lands on one of the s singles
     (the state becomes (s - 1, a)), on one of the M - a empty tokens
@@ -338,9 +330,17 @@ def _walk_states(
     early once every frame is in (0, M), where every token collided.
     A state is keyed by a * (w + 1) + s with w = min(M, T), never by M.
     """
+    config, frames = params.config, params.iterations
+    try:
+        tokens = float(config.tokens)
+    except OverflowError:
+        raise ValueError(
+            f"simulating more than {sys.float_info.max:.3g} tokens, the most a "
+            "float holds; use fewer tokens"
+        ) from None
     import numpy as np
 
-    tokens = float(config.tokens)
+    rng = make_rng(params.seed)
     width = min(config.tokens, config.users) + 1
     absorbed = config.tokens * width if config.tokens < width else -1
     keys = np.zeros(1, dtype=np.int64)
@@ -367,7 +367,7 @@ def _walk_states(
         starts = np.flatnonzero(first)
         keys, counts = keys[starts], np.add.reduceat(moved, starts)
     active = keys // width
-    return keys - active * width, active, counts
+    return rng, keys - active * width, active, counts
 
 
 def _grant_law(

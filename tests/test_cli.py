@@ -142,23 +142,23 @@ def test_each_subcommand_takes_only_the_flags_it_reads(command):
     assert flags == SUBCOMMAND_FLAGS[command] | {"-h", "--help", "--format", "--output"}
 
 
-#: A simulation over 2**63 + 1 tokens, one more than a 64-bit index
-#: holds.  The state walk indexes no token, but estimate_pmf refuses it
-#: all the same; every other size is small.
-TOO_MANY_TOKENS = ("--tokens", str(2**63 + 1), "--slots", "1", "--users", "3",
+#: A simulation over 10**309 tokens, past float range: the state walk
+#: reads the token count only as a float, so it refuses this one; every
+#: other size is small.
+TOO_MANY_TOKENS = ("--tokens", str(10**309), "--slots", "1", "--users", "3",
                    "--seed", "1", "--iterations", "10")
 
 
 def test_oversized_input_exits_one_with_hint(capsys):
     # too long a surjection roll, too large a moment sum, a walk over too
     # many state-steps (compare's exact pmf refuses it first, and its
-    # cost grows with tokens too), more tokens than a 64-bit index
-    # holds, and too many sweep values
+    # cost grows with tokens too), more tokens than a float holds, and
+    # too many sweep values
     simulation = ("--tokens", "8", "--slots", "4", "--users", "400000000",
                   "--seed", "1", "--iterations", "100000")
     exact_hint = "fewer users or tokens"
     walk_hint = "use fewer users or frames\n"
-    token_hint = "over the limit of 2**63 tokens"
+    token_hint = "the most a float holds; use fewer tokens\n"
     huge = str(10**400)  # past float range
     for argv, hint in [
         (("pmf", "--tokens", "128", "--slots", "32", "--users", "20000"), exact_hint),
@@ -211,10 +211,12 @@ def test_oversized_input_exits_one_with_hint(capsys):
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 def test_simulation_draws_from_up_to_2_63_tokens(capsys, command):
-    code, out, err = run_cli(capsys, command, "--tokens", str(2**63),
-                             *TOO_MANY_TOKENS[2:], "--format", "csv")
-    assert code == 0 and err == ""
-    assert out.splitlines()[1].startswith(f"{2**63},1,3,")
+    # and past them, up to float range
+    for tokens in (2**63, 10**300):
+        code, out, err = run_cli(capsys, command, "--tokens", str(tokens),
+                                 *TOO_MANY_TOKENS[2:], "--format", "csv")
+        assert code == 0 and err == ""
+        assert out.splitlines()[1].startswith(f"{tokens},1,3,")
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])

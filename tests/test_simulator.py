@@ -135,6 +135,11 @@ def test_frame_trace_validation():
         FrameTrace(wide, DetectionMode.BINARY, (1, 1, 1), (0, 0))  # granted twice
     with pytest.raises(ValueError):
         FrameTrace(wide, DetectionMode.BINARY, (1, -1, 3), (0, 2))  # negative count
+    # a grant past either end of the tokens is refused, not wrapped or missed
+    for mode, counts in (("binary", (1, 2, 0)), ("ternary", (1, 1, 1))):
+        for outside in (cfg.tokens, -1):
+            with pytest.raises(ValueError, match="eligible, each once"):
+                FrameTrace(cfg, mode, counts, (outside,))
     # counts and selection given as lists are kept as tuples of ints, so the
     # trace hashes and equals the same trace built from tuples
     listed = FrameTrace(cfg, "binary", [1, 2, 0], [0])
@@ -233,7 +238,7 @@ def test_walk_states_follow_the_exact_joint_law(tokens, users, frames):
     cfg = SystemConfig(tokens, 1, users)
     law = _joint_law(cfg)
     assert sum(law.values()) == 1
-    singles, active, counts = _walk_states(make_rng(19), cfg, frames)
+    _, singles, active, counts = _walk_states(SimParams(cfg, frames, seed=19))
     splits = zip(singles.tolist(), (active - singles).tolist())
     held = dict(zip(splits, counts.tolist()))
     assert set(held) <= set(law)
@@ -260,13 +265,14 @@ def test_walk_states_keep_their_invariants_after_every_user(
 ):
     for t in range(users + 1):
         cfg = SystemConfig(tokens, 1, t)
-        _assert_walk_invariants(cfg, frames, *_walk_states(make_rng(seed), cfg, frames))
+        _, *states = _walk_states(SimParams(cfg, frames, seed=seed))
+        _assert_walk_invariants(cfg, frames, *states)
 
 
 def test_walk_states_keep_their_invariants_past_2_15_tokens():
     # min(M, T) = 2^15 keys states by values past an int16
     cfg = SystemConfig(1 << 15, 4, (1 << 15) + 1)
-    _assert_walk_invariants(cfg, 2, *_walk_states(make_rng(3), cfg, 2))
+    _assert_walk_invariants(cfg, 2, *_walk_states(SimParams(cfg, 2, seed=3))[1:])
 
 
 def test_grant_law_matches_exact_hypergeometric_weights():
@@ -362,6 +368,12 @@ def test_seeded_streams_are_pinned_to_the_rng_version():
     # a benchmark-sized frame
     crowded = SimParams(SystemConfig(128, 4, 160), iterations=100_000, seed=20261)
     assert estimate_pmf(crowded).counts == (6083, 24911, 37740, 25213, 6053)
+    # and one traced frame per mode
+    cfg = SystemConfig(12, 3, 10)
+    counts = (3, 1, 0, 0, 2, 1, 1, 0, 0, 1, 1, 0)
+    for mode, selected in (("binary", (1, 4, 5)), ("ternary", (1, 5, 6))):
+        trace = simulate_frame(cfg, mode, make_rng(2030))
+        assert trace == FrameTrace(cfg, mode, counts, selected)
 
 
 def test_estimate_pmf_refuses_oversized_blocks_before_drawing():
@@ -393,6 +405,20 @@ def test_estimate_pmf_refuses_oversized_blocks_before_drawing():
         else:
             with pytest.raises(ValueError, match="fewer frames"):
                 estimate_pmf(params)
+
+
+def test_estimate_pmf_takes_any_token_count_that_a_float_holds():
+    # the walk reads the token count only as a float, so the first count
+    # that rounds past float range is the first one refused
+    largest = 2**1024 - 2**970 - 1
+    for mode in DetectionMode:
+        for tokens in (2**63 + 1, 10**300, largest, largest + 1, 10**309):
+            params = SimParams(SystemConfig(tokens, 1, 3), 10, seed=1, mode=mode)
+            if tokens <= largest:
+                assert estimate_pmf(params).counts == (0, 10)
+            else:
+                with pytest.raises(ValueError, match="fewer tokens"):
+                    estimate_pmf(params)
 
 
 @pytest.mark.parametrize(
