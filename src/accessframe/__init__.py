@@ -39,12 +39,10 @@ _EXPORTS = {
         "ComparisonRecord",
         "DetectionMode",
         "EmpiricalReport",
-        "FrameTrace",
         "SimParams",
         "compare_to_exact",
         "estimate_pmf",
         "make_rng",
-        "simulate_frame",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -177,6 +177,14 @@ def _decimal(n: int) -> str:
     return _decimal(high) + _decimal(low).zfill(k)
 
 
+def _count_text(n: int) -> str:
+    """A count >= 0 as a refusal message writes it: its digits up to 31
+    of them, and past that the power of two it reaches, so the message
+    stays short and never meets the interpreter's int -> str digit limit."""
+    bits = n.bit_length()
+    return str(n) if bits <= 100 else f"2**{bits - 1} or more"
+
+
 def _repr(value) -> str:
     """``repr(value)`` of a record field, with every int, also inside a
     tuple or a ``Fraction``, written by :func:`_decimal` at any size."""
@@ -333,7 +341,8 @@ def success_pmf(config: SystemConfig) -> "SuccessPmf":
         weights=(top + 1) * (width + 1) - top * (top + 1) // 2,
         steps=((top + 1) * (top + 2) // 2, count_bits),
     )
-    refuse_oversized(work, f"the exact pmf for {big_m} tokens and {t} users")
+    what = f"the exact pmf for {_count_text(big_m)} tokens and {_count_text(t)} users"
+    refuse_oversized(work, what)
     occupancies = [math.comb(big_m, a) for a in range(width + 1)]
     moments = [0] * (top + 1)
     rows = surjection_rows(range(t - top, t + 1), width)

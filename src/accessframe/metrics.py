@@ -52,6 +52,7 @@ from .analysis import (
     CSV_HEADER,
     Record,
     SystemConfig,
+    _count_text,
     csv_fields,
     csv_float,
     json_rational,
@@ -167,7 +168,9 @@ def _refuse_oversized(tokens: int, users: Sequence[int], means_per_row: int) -> 
         means=means,
     )
     refuse_oversized(
-        work, f"computing {means} mean success count(s) for {tokens} tokens"
+        work,
+        f"computing {_count_text(means)} mean success count(s) for "
+        f"{_count_text(tokens)} tokens",
     )
 
 

@@ -29,14 +29,13 @@ many frames per occupied state: with few, as at T ~ M in the thousands,
 a step per state costs more than the per-frame walk it replaced.
 A uniform grant of min(a, data_slots) of the a active tokens delivers a
 hypergeometric number of the frame's singles, so the binary tally splits
-each state's frames by one multinomial draw over that law;
-:func:`simulate_frame` draws the granted tokens themselves, and
+each state's frames by one multinomial draw over that law.
 :func:`compare_to_exact` measures a report against an exact law that its
 caller builds: this module never builds one.
 
-numpy is imported at the first draw, inside :func:`make_rng`,
-:func:`simulate_frame` and :func:`estimate_pmf`, so the exact
-subcommands, ``--help`` and refusals never load it.
+numpy is imported at the first draw, inside :func:`make_rng` and
+:func:`estimate_pmf`, so the exact subcommands, ``--help`` and refusals
+never load it.
 """
 
 from __future__ import annotations
@@ -54,6 +53,7 @@ from .analysis import (
     Record,
     SuccessPmf,
     SystemConfig,
+    _count_text,
     csv_fields,
     csv_float,
     json_rational,
@@ -78,14 +78,6 @@ RNG_ALGORITHM = "numpy-pcg64/v5"
 #: ``_WALK_LIMIT``, about half an hour.
 _STEP_STATES = 100
 _WALK_LIMIT = 6_000_000_000
-
-#: Most tokens plus users in one :func:`simulate_frame`, which holds the
-#: frame's int64 draws, its per-token counts and their trace in memory.
-#: Peak RSS grows by about 8 bytes per user and 17-28 per token (2-core
-#: Xeon: 0.05 s and 22 MB at M=10^6 T=12, 0.06 s and 76 MB at M=12 T=10^7,
-#: 0.08 s and 36 MB at M=T=10^6), so a frame at the limit takes at most
-#: about 0.25 GB and 0.6 s; memory, not time, is what the limit bounds.
-_FRAME_LIMIT = 10_000_000
 
 #: Float cells in one chunk of the binary grant's hypergeometric rows.
 _GRANT_CELLS = 1 << 15
@@ -133,69 +125,6 @@ class SimParams(Record):
             "iterations": self.iterations,
             "rng": RNG_ALGORITHM,
         }
-
-
-class FrameTrace(Record):
-    """One simulated frame: how many users picked each token and which
-    tokens got a slot; the winners are the granted single-user tokens."""
-
-    config: SystemConfig
-    mode: DetectionMode
-    counts: tuple[int, ...]
-    selected: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mode", DetectionMode(self.mode))
-        object.__setattr__(self, "counts", tuple(map(as_int, self.counts)))
-        object.__setattr__(self, "selected", tuple(map(as_int, self.selected)))
-        counts, selected, tokens = self.counts, self.selected, self.config.tokens
-        if len(counts) != tokens:
-            raise ValueError("one count per token")
-        if min(counts) < 0 or sum(counts) != self.config.users:
-            raise ValueError("counts must be >= 0 and sum to the number of users")
-        binary = self.mode is DetectionMode.BINARY
-        eligible = tokens - counts.count(0) if binary else counts.count(1)
-        if len(selected) != min(eligible, self.config.data_slots):
-            raise ValueError("selection must fill min(eligible, data_slots) slots")
-        # a grant past either end would wrap or miss: look up only those in range
-        granted = [counts[tok] for tok in selected if 0 <= tok < tokens]
-        held = len(granted) - granted.count(0) if binary else granted.count(1)
-        if held < len(selected) or len(set(selected)) < len(selected):
-            raise ValueError("selected tokens must be eligible, each once")
-
-    @property
-    def successes(self) -> int:
-        """Granted tokens that exactly one user picked."""
-        return sum(1 for tok in self.selected if self.counts[tok] == 1)
-
-
-def simulate_frame(
-    config: SystemConfig, mode: DetectionMode, rng: np.random.Generator
-) -> FrameTrace:
-    """Run one frame and return its full trace.
-
-    The granted subset is min(eligible, data_slots) eligible tokens
-    drawn uniformly without replacement, handed to the trace with the
-    counts as Python ints.  Raises ``ValueError`` before drawing when
-    tokens and users together are over :data:`_FRAME_LIMIT`.
-    """
-    if config.tokens + config.users > _FRAME_LIMIT:
-        raise ValueError(
-            f"a frame of {config.tokens} tokens and {config.users} users is over "
-            f"the limit of {_FRAME_LIMIT:.0e} tokens plus users that one traced "
-            "frame holds in memory; use fewer tokens or users"
-        )
-    import numpy as np
-
-    mode = DetectionMode(mode)
-    choices = rng.integers(0, config.tokens, size=config.users)
-    counts = np.bincount(choices, minlength=config.tokens)
-
-    eligible = np.flatnonzero(counts if mode is DetectionMode.BINARY else counts == 1)
-    grant = min(len(eligible), config.data_slots)
-    selected = rng.choice(eligible, size=grant, replace=False)
-
-    return FrameTrace(config, mode, counts.tolist(), sorted(selected.tolist()))
 
 
 class EmpiricalReport(Record):
@@ -271,14 +200,14 @@ def estimate_pmf(params: SimParams) -> EmpiricalReport:
     what a 64-bit count holds, on a walk priced (see :data:`_WALK_LIMIT`)
     over its limit, or on a token count past float range (1.8e308).  The
     walk indexes no token: it keys states by min(tokens, users) and reads
-    the token count only as a float, so it takes far larger frames than
-    :func:`simulate_frame`, which holds each one.
+    the token count only as a float.
     """
     cfg = params.config
     if params.iterations >= 2**63:
         raise ValueError(
-            f"simulating {params.iterations} frames is over the limit of "
-            "2**63 - 1 frames, the most a 64-bit count holds; use fewer frames"
+            f"simulating {_count_text(params.iterations)} frames is over the "
+            "limit of 2**63 - 1 frames, the most a 64-bit count holds; "
+            "use fewer frames"
         )
     width = min(cfg.tokens, cfg.users) + 1
     reachable = width * (width + 1) // 2  # pairs 0 <= s <= a <= min(M, T)
@@ -290,9 +219,9 @@ def estimate_pmf(params: SimParams) -> EmpiricalReport:
         largest = sys.float_info.max
         steps = f"{price:.3g}" if price <= largest else f"more than {largest:.3g}"
         raise ValueError(
-            f"simulating {params.iterations} frames of {cfg.users} users walks "
-            f"{steps} state-steps, over the limit of {_WALK_LIMIT:.3g}; "
-            "use fewer users or frames"
+            f"simulating {_count_text(params.iterations)} frames of "
+            f"{_count_text(cfg.users)} users walks {steps} state-steps, over the "
+            f"limit of {_WALK_LIMIT:.3g}; use fewer users or frames"
         )
     rng, singles, active, frames = _walk_states(params)
     import numpy as np

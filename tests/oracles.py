@@ -3,10 +3,13 @@
 Nothing in here touches the library's analytic machinery: expected values
 come from literal enumeration (all token assignments, all slot subsets,
 all set partitions), so agreement with the closed forms is meaningful.
+:func:`literal_frame_successes` draws one frame as the protocol states
+it, user by user, as an independent check of the simulator's state walk.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -61,6 +64,21 @@ def brute_force_ternary_pmf(tokens: int, data_slots: int, users: int) -> list[Fr
             multiplicity, tokens**users
         )
     return mass
+
+
+def literal_frame_successes(
+    tokens: int, data_slots: int, users: int, mode: str, rng: random.Random
+) -> int:
+    """Successes in one frame drawn literally: each user picks one of
+    ``tokens`` uniformly, min(eligible, data_slots) eligible tokens are
+    granted uniformly without replacement (every picked token in
+    ``"binary"`` mode, only the single-user ones otherwise, as in
+    ``"ternary"``), and a granted token succeeds iff exactly one user
+    picked it."""
+    picks = Counter(rng.randrange(tokens) for _ in range(users))
+    eligible = [tok for tok, n in picks.items() if mode == "binary" or n == 1]
+    granted = rng.sample(eligible, min(len(eligible), data_slots))
+    return sum(picks[tok] == 1 for tok in granted)
 
 
 @lru_cache(maxsize=None)

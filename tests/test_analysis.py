@@ -19,6 +19,7 @@ from accessframe.analysis import (
     PmfKind,
     SuccessPmf,
     SystemConfig,
+    _count_text,
     json_rational,
     outcome_probability,
     parse_rational,
@@ -254,6 +255,32 @@ def test_success_pmf_refuses_oversized_inputs_before_building():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+def test_counts_past_the_digit_limit_are_refused_with_the_hint():
+    # 10**5000 has more digits than str() writes; the message bounds it
+    with pytest.raises(ValueError, match="fewer users or tokens") as info:
+        success_pmf(SystemConfig(8, 1, 10**5000))
+    assert "8 tokens and 2**16609 or more users" in str(info.value)
+    assert len(str(info.value)) < 300
+
+
+def test_count_text_writes_short_counts_in_full_and_bounds_long_ones():
+    # counts of up to 31 digits are written in full
+    for n in (0, 7, 10**30, 2**100 - 1):
+        assert _count_text(n) == str(n)
+    assert _count_text(2**100) == "2**100 or more"
+    assert _count_text(10**5000) == "2**16609 or more"
+
+
+def test_refusal_for_ordinary_counts_is_written_in_full():
+    message = (
+        "the exact pmf for 1000000 tokens and 1000000 users would take an "
+        "estimated 5e+18 or more bit-operations, over the limit of 8e+09; "
+        "use fewer users or tokens"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        success_pmf(SystemConfig(10**6, 1, 10**6))
 
 
 def test_success_pmf_is_safe_across_threads():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from math import comb
 
@@ -293,6 +294,23 @@ def test_metrics_refuse_oversized_inputs_before_building(monkeypatch):
     ]:
         with pytest.raises(ValueError, match="fewer users or tokens"):
             call()
+
+
+def test_token_counts_past_the_digit_limit_are_refused_with_the_hint():
+    with pytest.raises(ValueError, match="fewer users or tokens") as info:
+        frame_metrics(SystemConfig(10**5000, 1, 10**5000))
+    assert "for 2**16609 or more tokens" in str(info.value)
+    assert len(str(info.value)) < 300
+
+
+def test_refusal_for_ordinary_counts_is_written_in_full():
+    message = (
+        "computing 1 mean success count(s) for 1000000 tokens would take an "
+        "estimated 5e+18 or more bit-operations, over the limit of 8e+09; "
+        "use fewer users or tokens"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        frame_metrics(SystemConfig(10**6, 4, 10**6))
 
 
 def test_metrics_estimate_grows_with_tokens():

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import random
+import re
 import statistics
 import tracemalloc
 from fractions import Fraction
@@ -25,15 +27,13 @@ from accessframe.simulator import (
     ComparisonRecord,
     DetectionMode,
     EmpiricalReport,
-    FrameTrace,
     SimParams,
     compare_to_exact,
     estimate_pmf,
     make_rng,
-    simulate_frame,
 )
 from accessframe.simulator import _GRANT_CELLS, _grant_law, _walk_states
-from oracles import brute_force_ternary_pmf
+from oracles import brute_force_pmf, brute_force_ternary_pmf, literal_frame_successes
 
 
 def test_sim_params_validation():
@@ -56,95 +56,48 @@ def test_make_rng_is_deterministic():
 
 
 def test_single_user_always_succeeds():
-    rng = make_rng(0)
     for mode in DetectionMode:
-        for _ in range(20):
-            trace = simulate_frame(SystemConfig(4, 2, 1), mode, rng)
-            assert trace.successes == 1
-            assert len(trace.selected) == 1
+        report = estimate_pmf(SimParams(SystemConfig(4, 2, 1), 20, seed=0, mode=mode))
+        assert report.counts == (0, 20)
 
 
 def test_single_token_crowd_never_succeeds():
-    rng = make_rng(1)
-    binary = simulate_frame(SystemConfig(1, 1, 3), DetectionMode.BINARY, rng)
-    assert binary.successes == 0
-    assert binary.selected == (0,)  # the collided token still burns the slot
-    ternary = simulate_frame(SystemConfig(1, 1, 3), DetectionMode.TERNARY, rng)
-    assert ternary.successes == 0
-    assert ternary.selected == ()  # no single-user token exists
+    # binary grants the collided token, whose slot is wasted; ternary
+    # finds no single-user token to grant
+    for mode in DetectionMode:
+        report = estimate_pmf(SimParams(SystemConfig(1, 1, 3), 20, seed=1, mode=mode))
+        assert report.counts == (20, 0)
 
 
 def test_frame_conservation_and_bounds():
-    rng = make_rng(7)
+    # every frame is tallied once, and no frame delivers more than
+    # min(M, K, T) successes, in the state walk and in the literal draw
     cfg = SystemConfig(5, 3, 9)
+    rng = random.Random(7)
     for mode in DetectionMode:
-        for _ in range(200):
-            trace = simulate_frame(cfg, mode, rng)
-            assert sum(trace.counts) == cfg.users
-            assert 0 <= trace.successes <= cfg.max_successes
-            assert len(trace.selected) <= cfg.data_slots
+        report = estimate_pmf(SimParams(cfg, iterations=200, seed=7, mode=mode))
+        assert len(report.counts) == cfg.max_successes + 1
+        assert sum(report.counts) == 200
+        tally = _literal_tally(cfg, mode.value, 200, rng)
+        assert len(tally) == cfg.max_successes + 1
+        assert sum(tally) == 200
 
 
-def test_ternary_never_grants_a_collided_token():
-    rng = make_rng(11)
-    cfg = SystemConfig(4, 3, 10)
-    for _ in range(300):
-        trace = simulate_frame(cfg, DetectionMode.TERNARY, rng)
-        assert all(trace.counts[token] == 1 for token in trace.selected)
-        assert trace.successes == len(trace.selected)
-
-
-def test_simulate_frame_refuses_oversized_frames_before_drawing():
-    # a frame holds its draws and a count per token, so one past the
-    # limit is refused before numpy allocates any of them
-    rng = make_rng(1)
-    state = rng.bit_generator.state
-    tracemalloc.start()
-    try:
-        for mode in DetectionMode:
-            for tokens, users in ((10**12, 12), (12, 10**12), (10**7, 1)):
-                with pytest.raises(ValueError, match="fewer tokens or users"):
-                    simulate_frame(SystemConfig(tokens, 4, users), mode, rng)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 1024
-    assert rng.bit_generator.state == state
-
-
-def test_frame_trace_validation():
-    cfg = SystemConfig(3, 1, 3)
-    good = FrameTrace(cfg, DetectionMode.BINARY, (1, 2, 0), (0,))
-    assert good.successes == 1
-    # a granted collision wastes its slot
-    assert FrameTrace(cfg, DetectionMode.BINARY, (1, 2, 0), (1,)).successes == 0
-    with pytest.raises(ValueError):
-        FrameTrace(cfg, DetectionMode.BINARY, (1, 1, 0), (0,))  # counts sum short
-    with pytest.raises(ValueError):
-        FrameTrace(cfg, DetectionMode.BINARY, (1, 2, 0), (2,))  # idle token granted
-    with pytest.raises(ValueError):
-        FrameTrace(cfg, DetectionMode.BINARY, (1, 2, 0), ())  # slot left idle
-    with pytest.raises(ValueError):
-        FrameTrace(cfg, DetectionMode.TERNARY, (1, 2, 0), (1,))  # ternary grant
-    # a mode given by its value is checked under its own rule
-    assert FrameTrace(cfg, "binary", (1, 2, 0), (1,)).mode is DetectionMode.BINARY
-    with pytest.raises(ValueError):
-        FrameTrace(cfg, "x", (1, 2, 0), (0,))  # no such mode
-    wide = SystemConfig(3, 2, 3)
-    with pytest.raises(ValueError):
-        FrameTrace(wide, DetectionMode.BINARY, (1, 1, 1), (0, 0))  # granted twice
-    with pytest.raises(ValueError):
-        FrameTrace(wide, DetectionMode.BINARY, (1, -1, 3), (0, 2))  # negative count
-    # a grant past either end of the tokens is refused, not wrapped or missed
-    for mode, counts in (("binary", (1, 2, 0)), ("ternary", (1, 1, 1))):
-        for outside in (cfg.tokens, -1):
-            with pytest.raises(ValueError, match="eligible, each once"):
-                FrameTrace(cfg, mode, counts, (outside,))
-    # counts and selection given as lists are kept as tuples of ints, so the
-    # trace hashes and equals the same trace built from tuples
-    listed = FrameTrace(cfg, "binary", [1, 2, 0], [0])
-    assert (listed.counts, listed.selected) == ((1, 2, 0), (0,))
-    assert listed == good and hash(listed) == hash(good)
+def test_ternary_never_does_worse_than_binary_on_the_same_frame():
+    # two streams with one seed draw the same picks; ternary grants only
+    # single-user tokens, so it never wastes a slot on a collision, and
+    # with a slot for every user the two modes agree
+    for cfg in (SystemConfig(4, 3, 10), SystemConfig(6, 2, 5), SystemConfig(3, 5, 4)):
+        for seed in range(300):
+            binary, ternary = (
+                literal_frame_successes(
+                    cfg.tokens, cfg.data_slots, cfg.users, mode, random.Random(seed)
+                )
+                for mode in ("binary", "ternary")
+            )
+            assert binary <= ternary
+            if cfg.data_slots >= cfg.users:
+                assert binary == ternary
 
 
 def test_binary_counts_equal_ternary_when_everyone_fits():
@@ -165,15 +118,35 @@ def test_binary_grant_matches_exact_pmf_when_crowded():
     # K is below the typical number of active tokens, so the grant's
     # choice among them matters
     n = 10_000
-    rng = make_rng(17)
+    rng = random.Random(17)
     for cfg in (SystemConfig(4, 1, 3), SystemConfig(8, 4, 12)):
         exact = success_pmf(cfg).mass
-        frames = [simulate_frame(cfg, DetectionMode.BINARY, rng) for _ in range(n)]
-        tally = np.bincount([f.successes for f in frames], minlength=len(exact))
+        tally = _literal_tally(cfg, "binary", n, rng)
         assert len(tally) == len(exact)
         block = estimate_pmf(SimParams(cfg, iterations=n, seed=17))
         for counts in (tally, block.counts):
             _assert_within_sampling_noise(exact, counts)
+
+
+@pytest.mark.parametrize(
+    "mode, law",
+    [("binary", brute_force_pmf), ("ternary", brute_force_ternary_pmf)],
+    ids=["binary", "ternary"],
+)
+def test_literal_frame_oracle_matches_enumeration(mode, law):
+    # the per-frame oracle that checks the state walk is itself checked
+    # against the law enumerated over every token assignment
+    tally = _literal_tally(SystemConfig(4, 2, 5), mode, 10_000, random.Random(19))
+    _assert_within_sampling_noise(law(4, 2, 5), tally)
+
+
+def _literal_tally(cfg, mode, n, rng):
+    """How many of n literally drawn frames had each success count."""
+    frames = (
+        literal_frame_successes(cfg.tokens, cfg.data_slots, cfg.users, mode, rng)
+        for _ in range(n)
+    )
+    return np.bincount(list(frames), minlength=cfg.max_successes + 1)
 
 
 def test_binary_matches_exact_pmf_with_wide_token_indices():
@@ -368,12 +341,6 @@ def test_seeded_streams_are_pinned_to_the_rng_version():
     # a benchmark-sized frame
     crowded = SimParams(SystemConfig(128, 4, 160), iterations=100_000, seed=20261)
     assert estimate_pmf(crowded).counts == (6083, 24911, 37740, 25213, 6053)
-    # and one traced frame per mode
-    cfg = SystemConfig(12, 3, 10)
-    counts = (3, 1, 0, 0, 2, 1, 1, 0, 0, 1, 1, 0)
-    for mode, selected in (("binary", (1, 4, 5)), ("ternary", (1, 5, 6))):
-        trace = simulate_frame(cfg, mode, make_rng(2030))
-        assert trace == FrameTrace(cfg, mode, counts, selected)
 
 
 def test_estimate_pmf_refuses_oversized_blocks_before_drawing():
@@ -405,6 +372,42 @@ def test_estimate_pmf_refuses_oversized_blocks_before_drawing():
         else:
             with pytest.raises(ValueError, match="fewer frames"):
                 estimate_pmf(params)
+
+
+@pytest.mark.parametrize(
+    "params, hint",
+    [
+        (SimParams(SystemConfig(8, 1, 10**5000), 10, 1), "fewer users or frames"),
+        (SimParams(SystemConfig(8, 1, 3), 10**5000, 1), "fewer frames"),
+    ],
+    ids=["users", "frames"],
+)
+def test_counts_past_the_digit_limit_are_refused_with_the_hint(params, hint):
+    with pytest.raises(ValueError, match=hint) as info:
+        estimate_pmf(params)
+    assert "2**16609 or more" in str(info.value)
+    assert len(str(info.value)) < 300
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        (
+            SimParams(SystemConfig(8, 4, 12), 2**63, 1),
+            "simulating 9223372036854775808 frames is over the limit of "
+            "2**63 - 1 frames, the most a 64-bit count holds; use fewer frames",
+        ),
+        (
+            SimParams(SystemConfig(8, 4, 10**9), 10**6, 1),
+            "simulating 1000000 frames of 1000000000 users walks 1.45e+11 "
+            "state-steps, over the limit of 6e+09; use fewer users or frames",
+        ),
+    ],
+    ids=["frames", "walk"],
+)
+def test_refusals_for_ordinary_counts_are_written_in_full(params, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        estimate_pmf(params)
 
 
 def test_estimate_pmf_takes_any_token_count_that_a_float_holds():
