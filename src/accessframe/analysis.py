@@ -134,15 +134,8 @@ class SystemConfig(Record):
     users: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tokens", as_int(self.tokens))
-        object.__setattr__(self, "data_slots", as_int(self.data_slots))
-        object.__setattr__(self, "users", as_int(self.users))
-        if self.tokens < 1:
-            raise ValueError(f"tokens must be >= 1, got {self.tokens}")
-        if self.data_slots < 1:
-            raise ValueError(f"data_slots must be >= 1, got {self.data_slots}")
-        if self.users < 0:
-            raise ValueError(f"users must be >= 0, got {self.users}")
+        for name, low in (("tokens", 1), ("data_slots", 1), ("users", 0)):
+            object.__setattr__(self, name, _at_least(name, getattr(self, name), low))
 
     @property
     def max_successes(self) -> int:
@@ -177,12 +170,25 @@ def _decimal(n: int) -> str:
     return _decimal(high) + _decimal(low).zfill(k)
 
 
-def _count_text(n: int) -> str:
-    """A count >= 0 as a refusal message writes it: its digits up to 31
-    of them, and past that the power of two it reaches, so the message
-    stays short and never meets the interpreter's int -> str digit limit."""
+def _count_text(n: int | Fraction) -> str:
+    """A number as a refusal message writes it, short and under the int ->
+    str digit limit: an int in full up to 31 digits, past that as ``2**k or
+    more`` (``-2**k or less``), and a rational as its two parts so written."""
+    if isinstance(n, Fraction):
+        top = _count_text(n.numerator)
+        return top if n.denominator == 1 else f"{top}/{_count_text(n.denominator)}"
     bits = n.bit_length()
-    return str(n) if bits <= 100 else f"2**{bits - 1} or more"
+    if bits <= 100:
+        return str(n)
+    return f"-2**{bits - 1} or less" if n < 0 else f"2**{bits - 1} or more"
+
+
+def _at_least(name: str, value, low: int) -> int:
+    """``value`` as an int (by ``operator.index``), refused below ``low``."""
+    value = as_int(value)
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {_count_text(value)}")
+    return value
 
 
 def _repr(value) -> str:
@@ -283,7 +289,8 @@ def outcome_probability(config: SystemConfig, singles: int, collisions: int) -> 
         raise ValueError("singles and collisions must be non-negative")
     if singles + collisions > config.tokens:
         raise ValueError(
-            f"{singles} + {collisions} active tokens exceed {config.tokens}"
+            f"{_count_text(singles)} + {_count_text(collisions)} active tokens "
+            f"exceed {_count_text(config.tokens)}"
         )
     rest = config.users - singles
     if 2 * collisions > rest or collisions == 0 < rest:
@@ -383,28 +390,28 @@ class SuccessPmf(Record):
 
     def __post_init__(self) -> None:
         counts = tuple(as_int(c) for c in self.counts)
-        denominator = as_int(self.denominator)
+        denominator = _at_least("the denominator", self.denominator, 1)
         kind = PmfKind(self.kind)
         outcomes = self.config.max_successes + 1
         if len(counts) != outcomes:
             raise ValueError(
-                f"counts must hold max_successes + 1 = {outcomes} entries, "
-                f"got {len(counts)}"
+                f"counts must hold max_successes + 1 = {_count_text(outcomes)} "
+                f"entries, got {len(counts)}"
             )
         if min(counts) < 0:
             raise ValueError("counts must be non-negative")
-        if denominator < 1:
-            raise ValueError(f"the denominator must be >= 1, got {denominator}")
         if sum(counts) != denominator:
             raise ValueError(
-                f"counts must sum to the denominator {denominator}, got {sum(counts)}"
+                f"counts must sum to the denominator {_count_text(denominator)}, "
+                f"got {_count_text(sum(counts))}"
             )
         # modular, so a huge T never builds tokens**users
         config = self.config
         if kind is PmfKind.EXACT and pow(config.tokens, config.users, denominator):
             raise ValueError(
-                f"the denominator {denominator} of an exact law must divide "
-                f"tokens**users = {config.tokens}**{config.users}"
+                f"the denominator {_count_text(denominator)} of an exact law must "
+                f"divide tokens**users = {_count_text(config.tokens)}**"
+                f"{_count_text(config.users)}"
             )
         common = math.gcd(denominator, *counts)
         object.__setattr__(self, "counts", tuple(c // common for c in counts))

@@ -89,7 +89,8 @@ class FrameMetrics(Record):
         most = self.config.max_successes
         # in integers: a Fraction's denominator is positive
         if not 0 <= mean.numerator <= most * mean.denominator:
-            raise ValueError(f"expected successes {mean} outside [0, {most}]")
+            shown = f"{_count_text(mean)} outside [0, {_count_text(most)}]"
+            raise ValueError(f"expected successes {shown}")
 
     @property
     def success_rate(self) -> Fraction:
@@ -242,7 +243,8 @@ class SweepReport(Record):
         held = attrgetter(*(f for f in SystemConfig._fields if f != self.axis.value))
         first = held(self.rows[0].config)
         if any(held(row.config) != first for row in self.rows):
-            raise ValueError(f"every row must hold {self.fixed} fixed")
+            fixed = ", ".join(f"{k!r}: {_count_text(v)}" for k, v in self.fixed.items())
+            raise ValueError(f"every row must hold {{{fixed}}} fixed")
         _check_increasing(self.values)
 
     @property

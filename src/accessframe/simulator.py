@@ -53,6 +53,7 @@ from .analysis import (
     Record,
     SuccessPmf,
     SystemConfig,
+    _at_least,
     _count_text,
     csv_fields,
     csv_float,
@@ -107,11 +108,10 @@ class SimParams(Record):
     mode: DetectionMode = DetectionMode.BINARY
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "iterations", as_int(self.iterations))
+        iterations = _at_least("iterations", self.iterations, 1)
+        object.__setattr__(self, "iterations", iterations)
         object.__setattr__(self, "seed", as_int(self.seed))
         object.__setattr__(self, "mode", DetectionMode(self.mode))
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
@@ -223,7 +223,15 @@ def estimate_pmf(params: SimParams) -> EmpiricalReport:
             f"{_count_text(cfg.users)} users walks {steps} state-steps, over the "
             f"limit of {_WALK_LIMIT:.3g}; use fewer users or frames"
         )
-    rng, singles, active, frames = _walk_states(params)
+    try:
+        float(cfg.tokens)
+    except OverflowError:
+        raise ValueError(
+            f"simulating more than {sys.float_info.max:.3g} tokens, the most a "
+            "float holds; use fewer tokens"
+        ) from None
+    rng = make_rng(params.seed)
+    singles, active, frames = _walk_states(params, rng)
     import numpy as np
 
     cap = cfg.max_successes
@@ -242,14 +250,12 @@ def estimate_pmf(params: SimParams) -> EmpiricalReport:
 
 
 def _walk_states(
-    params: SimParams,
-) -> tuple[np.random.Generator, np.ndarray, np.ndarray, np.ndarray]:
-    """Walk ``params.iterations`` fresh frames through the users together.
-
-    Returns the stream that ``params.seed`` starts, for the draws after
-    the walk, and three int64 vectors over the distinct occupied states:
-    the singles, the active tokens and the frames (one or more) that end
-    there.  A token count past float range is refused before numpy loads.
+    params: SimParams, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Walk ``params.iterations`` fresh frames through the users together,
+    drawing from ``rng``, and return three int64 vectors over the distinct
+    occupied states: the singles, the active tokens and the frames (one or
+    more) that end there.
 
     In one frame a user's uniform choice lands on one of the s singles
     (the state becomes (s - 1, a)), on one of the M - a empty tokens
@@ -259,17 +265,10 @@ def _walk_states(
     early once every frame is in (0, M), where every token collided.
     A state is keyed by a * (w + 1) + s with w = min(M, T), never by M.
     """
-    config, frames = params.config, params.iterations
-    try:
-        tokens = float(config.tokens)
-    except OverflowError:
-        raise ValueError(
-            f"simulating more than {sys.float_info.max:.3g} tokens, the most a "
-            "float holds; use fewer tokens"
-        ) from None
     import numpy as np
 
-    rng = make_rng(params.seed)
+    config, frames = params.config, params.iterations
+    tokens = float(config.tokens)
     width = min(config.tokens, config.users) + 1
     absorbed = config.tokens * width if config.tokens < width else -1
     keys = np.zeros(1, dtype=np.int64)
@@ -296,7 +295,7 @@ def _walk_states(
         starts = np.flatnonzero(first)
         keys, counts = keys[starts], np.add.reduceat(moved, starts)
     active = keys // width
-    return rng, keys - active * width, active, counts
+    return keys - active * width, active, counts
 
 
 def _grant_law(

@@ -10,7 +10,13 @@ from fractions import Fraction
 
 import pytest
 
-from accessframe.analysis import SuccessPmf, SystemConfig, _decimal, success_pmf
+from accessframe.analysis import (
+    SuccessPmf,
+    SystemConfig,
+    _decimal,
+    outcome_probability,
+    success_pmf,
+)
 from accessframe.metrics import (
     Axis,
     FrameMetrics,
@@ -239,6 +245,82 @@ _SLOTS_1 = frame_metrics(SystemConfig(8, 1, 12))
 def test_post_init_rejections_still_fire(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         build()
+
+
+_HUGE = 10**5000  # past the interpreter's 4300-digit int -> str limit
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: SuccessPmf(SystemConfig(3, 1, 10000), (1, 0), 3**10000, "exact"),
+            "counts must sum to the denominator 2**15849 or more, got 1",
+        ),
+        (
+            lambda: SuccessPmf(SystemConfig(3, 1, 2), (_HUGE, 1), _HUGE + 1, "exact"),
+            "the denominator 2**16609 or more of an exact law must divide "
+            "tokens**users = 3**2",
+        ),
+        (
+            _metrics(Fraction(_HUGE, 3), SystemConfig(2, 1, 2)),
+            "expected successes 2**16609 or more/3 outside [0, 1]",
+        ),
+        (
+            _metrics(Fraction(-1, _HUGE), SystemConfig(2, 1, 2)),
+            "expected successes -1/2**16609 or more outside [0, 1]",
+        ),
+        (
+            lambda: outcome_probability(SystemConfig(_HUGE, 1, 3), _HUGE, 1),
+            "2**16609 or more + 1 active tokens exceed 2**16609 or more",
+        ),
+        (
+            lambda: SweepReport(
+                "users",
+                (
+                    FrameMetrics(SystemConfig(_HUGE, 1, 1), 0),
+                    FrameMetrics(SystemConfig(_HUGE + 1, 1, 2), 0),
+                ),
+            ),
+            "every row must hold {'M': 2**16609 or more, 'K': 1} fixed",
+        ),
+        (
+            lambda: SuccessPmf(SystemConfig(_HUGE, _HUGE, _HUGE), (1,), 1, "empirical"),
+            "counts must hold max_successes + 1 = 2**16609 or more entries, got 1",
+        ),
+        (
+            lambda: SystemConfig(-_HUGE, 1, 1),
+            "tokens must be >= 1, got -2**16609 or less",
+        ),
+        (
+            lambda: SystemConfig(1, -_HUGE, 1),
+            "data_slots must be >= 1, got -2**16609 or less",
+        ),
+        (
+            lambda: SystemConfig(1, 1, -_HUGE),
+            "users must be >= 0, got -2**16609 or less",
+        ),
+        (
+            lambda: SimParams(SystemConfig(2, 1, 2), -_HUGE, 1),
+            "iterations must be >= 1, got -2**16609 or less",
+        ),
+        (
+            lambda: SuccessPmf(SystemConfig(3, 1, 2), (1, 0), -_HUGE, "empirical"),
+            "the denominator must be >= 1, got -2**16609 or less",
+        ),
+    ],
+    ids=[
+        "pmf-sum", "pmf-exact-law", "metrics-above", "metrics-below", "split",
+        "sweep-fixed", "pmf-entries", "tokens", "data_slots", "users",
+        "iterations", "pmf-denominator",
+    ],
+)
+def test_refusals_past_the_digit_limit_write_the_package_message(build, message):
+    # each message writes its numbers by _count_text, so a value of
+    # 10**5000 gets this message, not the interpreter's digit-limit error
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        build()
+    assert len(str(info.value)) < 300
 
 
 def test_frame_metrics_accept_every_mean_from_zero_to_max_successes():

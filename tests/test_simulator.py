@@ -211,7 +211,8 @@ def test_walk_states_follow_the_exact_joint_law(tokens, users, frames):
     cfg = SystemConfig(tokens, 1, users)
     law = _joint_law(cfg)
     assert sum(law.values()) == 1
-    _, singles, active, counts = _walk_states(SimParams(cfg, frames, seed=19))
+    params = SimParams(cfg, frames, seed=19)
+    singles, active, counts = _walk_states(params, make_rng(params.seed))
     splits = zip(singles.tolist(), (active - singles).tolist())
     held = dict(zip(splits, counts.tolist()))
     assert set(held) <= set(law)
@@ -238,14 +239,15 @@ def test_walk_states_keep_their_invariants_after_every_user(
 ):
     for t in range(users + 1):
         cfg = SystemConfig(tokens, 1, t)
-        _, *states = _walk_states(SimParams(cfg, frames, seed=seed))
+        states = _walk_states(SimParams(cfg, frames, seed=seed), make_rng(seed))
         _assert_walk_invariants(cfg, frames, *states)
 
 
 def test_walk_states_keep_their_invariants_past_2_15_tokens():
     # min(M, T) = 2^15 keys states by values past an int16
     cfg = SystemConfig(1 << 15, 4, (1 << 15) + 1)
-    _assert_walk_invariants(cfg, 2, *_walk_states(SimParams(cfg, 2, seed=3))[1:])
+    states = _walk_states(SimParams(cfg, 2, seed=3), make_rng(3))
+    _assert_walk_invariants(cfg, 2, *states)
 
 
 def test_grant_law_matches_exact_hypergeometric_weights():
@@ -406,6 +408,29 @@ def test_counts_past_the_digit_limit_are_refused_with_the_hint(params, hint):
     ids=["frames", "walk"],
 )
 def test_refusals_for_ordinary_counts_are_written_in_full(params, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        estimate_pmf(params)
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        (
+            SimParams(SystemConfig(10**309, 4, 10**9), 10**6, 1),
+            "simulating 1000000 frames of 1000000000 users walks 1e+15 "
+            "state-steps, over the limit of 6e+09; use fewer users or frames",
+        ),
+        (
+            SimParams(SystemConfig(10**309, 1, 3), 2**63, 1),
+            "simulating 9223372036854775808 frames is over the limit of "
+            "2**63 - 1 frames, the most a 64-bit count holds; use fewer frames",
+        ),
+    ],
+    ids=["walk-before-tokens", "frames-before-tokens"],
+)
+def test_estimate_pmf_refuses_frames_then_walk_price_then_tokens(params, message):
+    # each run also has a token count past float range: the earlier
+    # refusal is the one raised
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         estimate_pmf(params)
 
