@@ -46,6 +46,7 @@ from operator import index as as_int
 from operator import mul, sub
 
 from . import _EXPORTS
+from .combinatorics import _at_least, _count_text
 from .combinatorics import exact_work, refuse_oversized, surjection_rows
 
 __all__ = [*_EXPORTS["analysis"]]
@@ -170,27 +171,6 @@ def _decimal(n: int) -> str:
     return _decimal(high) + _decimal(low).zfill(k)
 
 
-def _count_text(n: int | Fraction) -> str:
-    """A number as a refusal message writes it, short and under the int ->
-    str digit limit: an int in full up to 31 digits, past that as ``2**k or
-    more`` (``-2**k or less``), and a rational as its two parts so written."""
-    if isinstance(n, Fraction):
-        top = _count_text(n.numerator)
-        return top if n.denominator == 1 else f"{top}/{_count_text(n.denominator)}"
-    bits = n.bit_length()
-    if bits <= 100:
-        return str(n)
-    return f"-2**{bits - 1} or less" if n < 0 else f"2**{bits - 1} or more"
-
-
-def _at_least(name: str, value, low: int) -> int:
-    """``value`` as an int (by ``operator.index``), refused below ``low``."""
-    value = as_int(value)
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}, got {_count_text(value)}")
-    return value
-
-
 def _repr(value) -> str:
     """``repr(value)`` of a record field, with every int, also inside a
     tuple or a ``Fraction``, written by :func:`_decimal` at any size."""
@@ -229,7 +209,7 @@ def parse_rational(text: str) -> Fraction:
     (not a string, another form such as ``"0.5"``, or a zero denominator)
     raises ``ValueError``."""
     if not isinstance(text, str):
-        raise ValueError(f"a rational must be a string, got {text!r}")
+        raise ValueError(f"a rational must be a string, got {type(text).__name__}")
     numerator, _, denominator = text.removeprefix("-").partition("/")
     if not all(side.isascii() and side.isdigit() for side in (numerator, denominator)):
         raise ValueError(f"not a [-]digits/digits rational: {reprlib.repr(text)}")

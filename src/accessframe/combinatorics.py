@@ -1,13 +1,15 @@
-"""The roll and the cost model of the exact path: the surjection
-numbers on their one counting recurrence, and the one cost model every
-exact computation is held to.
+"""The roll, the cost model and the refusal rules of the exact path: the
+surjection numbers on their one counting recurrence, the one cost model
+every exact computation is held to, and the rules every module refuses by.
 
 The roll is integer arithmetic on Python ints, so results are exact at
 any magnitude.  :func:`surjection_rows` seeds the first row its caller
 reads, rolls the recurrence over the rest, and caps each row at the
 columns the caller reads.  It prices nothing itself: every caller first
 prices its whole plan with :func:`exact_work`, and :func:`refuse_oversized`
-refuses one over :data:`SURJECTION_WORK_LIMIT` before it starts.
+refuses one over :data:`SURJECTION_WORK_LIMIT` before it starts.  As the
+bottom of the import graph it also holds :func:`_at_least`, the integer
+bound, and :func:`_count_text`, which writes any refused number short.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 from itertools import accumulate, chain, islice
 from operator import add, mul, sub
+from operator import index as as_int
 from collections.abc import Iterable, Iterator
 
 __all__ = [
@@ -142,6 +145,27 @@ def refuse_oversized(work: float, what: str) -> None:
         )
 
 
+def _count_text(n) -> str:
+    """A number as a refusal message writes it, short and under the int ->
+    str digit limit: an int in full up to 31 digits, past that as ``2**k or
+    more`` (``-2**k or less``), and a rational as its two parts so written."""
+    if not isinstance(n, int):
+        top = _count_text(n.numerator)
+        return top if n.denominator == 1 else f"{top}/{_count_text(n.denominator)}"
+    bits = n.bit_length()
+    if bits <= 100:
+        return str(n)
+    return f"-2**{bits - 1} or less" if n < 0 else f"2**{bits - 1} or more"
+
+
+def _at_least(name: str, value, low: int) -> int:
+    """``value`` as an int (by ``operator.index``), refused below ``low``."""
+    value = as_int(value)
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {_count_text(value)}")
+    return value
+
+
 def surjection_rows(rows: range, cols: int) -> Iterator[tuple[int, ...]]:
     """The surjection numbers of each row n in ``rows``, capped at ``cols``
     columns, one row at a time.
@@ -154,8 +178,8 @@ def surjection_rows(rows: range, cols: int) -> Iterator[tuple[int, ...]]:
     = j * (surj(n - 1, j) + surj(n - 1, j - 1)), holding only the latest
     row, so a caller that needs a row per user count walks them in one pass.
     """
-    if rows.start < 0 or cols < 0:
-        raise ValueError(f"need rows >= 0 and cols >= 0, got ({rows}, {cols})")
+    _at_least("the first row", rows.start, 0)
+    cols = _at_least("cols", cols, 0)
     if not rows:
         return iter(())
 

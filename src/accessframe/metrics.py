@@ -52,11 +52,11 @@ from .analysis import (
     CSV_HEADER,
     Record,
     SystemConfig,
-    _count_text,
     csv_fields,
     csv_float,
     json_rational,
 )
+from .combinatorics import _at_least, _count_text
 from .combinatorics import exact_work, refuse_oversized, surjection_rows
 
 __all__ = [*_EXPORTS["metrics"]]
@@ -66,6 +66,15 @@ class Axis(str, Enum):
 
     USERS = "users"
     DATA_SLOTS = "data_slots"
+
+
+def _rational(name: str, value) -> Fraction:
+    """``value`` as a ``Fraction``, refused unless it is a ``Rational``."""
+    if type(value) is Fraction:  # the common case skips the ABC check
+        return value
+    if not isinstance(value, Rational):
+        raise ValueError(f"{name} must be rational, got {type(value).__name__}")
+    return Fraction(value)
 
 
 class FrameMetrics(Record):
@@ -78,12 +87,8 @@ class FrameMetrics(Record):
     expected_successes: Fraction
 
     def __post_init__(self) -> None:
-        mean = self.expected_successes
-        if type(mean) is not Fraction:  # the common case skips the ABC check
-            if not isinstance(mean, Rational):
-                raise ValueError(f"expected successes must be rational, got {mean!r}")
-            mean = Fraction(mean)
-            object.__setattr__(self, "expected_successes", mean)
+        mean = _rational("expected successes", self.expected_successes)
+        object.__setattr__(self, "expected_successes", mean)
         if self.config.users < 1:
             raise ValueError("success rate needs at least one user")
         most = self.config.max_successes
@@ -118,13 +123,29 @@ class FrameMetrics(Record):
 class OptimalDataSlots(Record):
     """The answer of :func:`optimal_data_slots` for ``tokens``, ``users``
     and at most ``k_max`` data slots: the best size ``data_slots`` and
-    its ``efficiency``."""
+    its ``efficiency``.  Every count is at least 1, ``data_slots`` at most
+    min(k_max, tokens, users), and the efficiency a rational (kept as a
+    ``Fraction``) of at least 0."""
 
     tokens: int
     users: int
     k_max: int
     data_slots: int
     efficiency: Fraction
+
+    def __post_init__(self) -> None:
+        for name in ("tokens", "users", "k_max", "data_slots"):
+            object.__setattr__(self, name, _at_least(name, getattr(self, name), 1))
+        most = min(self.k_max, self.tokens, self.users)
+        if self.data_slots > most:
+            raise ValueError(
+                f"data_slots must be <= min(k_max, tokens, users) = "
+                f"{_count_text(most)}, got {_count_text(self.data_slots)}"
+            )
+        efficiency = _rational("efficiency", self.efficiency)
+        object.__setattr__(self, "efficiency", efficiency)
+        if efficiency < 0:
+            raise ValueError(f"efficiency must be >= 0, got {_count_text(efficiency)}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -316,9 +337,9 @@ def optimal_data_slots(tokens: int, users: int, k_max: int) -> tuple[int, Fracti
     larger data phase leaves the mean unchanged and only lengthens the
     frame.
     """
-    tokens, users, k_max = as_int(tokens), as_int(users), as_int(k_max)
-    if tokens < 1 or users < 1 or k_max < 1:
-        raise ValueError("tokens, users and k_max must all be >= 1")
+    tokens = _at_least("tokens", tokens, 1)
+    users = _at_least("users", users, 1)
+    k_max = _at_least("k_max", k_max, 1)
     scan = min(k_max, tokens, users)
     _refuse_oversized(tokens, (users,), 1)
     ((first, *rest),) = _numerators(tokens, (users,), range(1, scan + 1))

@@ -53,12 +53,11 @@ from .analysis import (
     Record,
     SuccessPmf,
     SystemConfig,
-    _at_least,
-    _count_text,
     csv_fields,
     csv_float,
     json_rational,
 )
+from .combinatorics import _at_least, _count_text
 
 if TYPE_CHECKING:
     import numpy as np

@@ -335,15 +335,15 @@ def test_pmf_json_round_trip_is_exact():
 
 
 def _digits(n: int) -> str:
-    """The decimal digits of n >= 0, converted in 1000-digit chunks that
-    each fit under the interpreter's int -> str limit."""
+    """The decimal digits of n >= 0, converted in 500-digit chunks that
+    each fit under the interpreter's lowest int -> str limit, 640."""
     chunks = []
     while True:
-        n, chunk = divmod(n, 10**1000)
+        n, chunk = divmod(n, 10**500)
         chunks.append(str(chunk))
         if not n:
             break
-    return chunks[-1] + "".join(c.zfill(1000) for c in reversed(chunks[:-1]))
+    return chunks[-1] + "".join(c.zfill(500) for c in reversed(chunks[:-1]))
 
 
 def test_json_rational_writes_every_digit_past_the_str_limit():
@@ -467,7 +467,7 @@ ABSENT = object()
         ((2.0, 1, 2), "exact", ["1/2", "1/2"], "must be integers, got 2.0"),
         (("2", 1, 2), "exact", ["1/2", "1/2"], "must be integers, got '2'"),
         ((True, 1, 2), "exact", ["1/2", "1/2"], "must be integers, got True"),
-        ((2, 1, 2), "empirical", [0.5, 0.5], "must be a string, got 0.5"),
+        ((2, 1, 2), "empirical", [0.5, 0.5], "must be a string, got float"),
     ],
 )
 def test_pmf_json_rejects_documents_that_are_not_a_law(config, kind, mass, message):

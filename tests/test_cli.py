@@ -10,7 +10,6 @@ import json
 import subprocess
 import sys
 import time
-from fractions import Fraction
 
 import pytest
 
@@ -301,7 +300,7 @@ def test_metrics_fit_where_the_pmf_does_not(capsys):
         capsys, "metrics", "--tokens", "1000", "--slots", "100", "--users", "1000"
     )
     assert code == 0 and err == ""
-    assert Fraction(json.loads(out)["expected_successes"]) == (
+    assert parse_rational(json.loads(out)["expected_successes"]) == (
         expected_successes_by_occupancy(1000, 100, 1000)
     )
 

@@ -15,8 +15,10 @@ from accessframe.analysis import (
     SystemConfig,
     _decimal,
     outcome_probability,
+    parse_rational,
     success_pmf,
 )
+from accessframe.combinatorics import surjection_rows
 from accessframe.metrics import (
     Axis,
     FrameMetrics,
@@ -188,6 +190,16 @@ def test_post_init_normalises_fields():
     assert hash(report) == hash(SweepReport(Axis.USERS, (frame_metrics(CONFIG),)))
 
 
+def test_optimal_data_slots_record_keeps_its_efficiency_as_a_fraction():
+    # as FrameMetrics does, any rational efficiency is kept as a Fraction
+    best = OptimalDataSlots(8, 1, 8, 1, 0)
+    assert type(best.efficiency) is Fraction
+    assert repr(best) == (
+        "OptimalDataSlots(tokens=8, users=1, k_max=8, data_slots=1, "
+        "efficiency=Fraction(0, 1))"
+    )
+
+
 def _metrics(expected, config=SystemConfig(2, 1, 2)):
     return lambda: FrameMetrics(config, expected)
 
@@ -198,6 +210,10 @@ def _sweep(rows, axis=Axis.USERS):
 
 def _pmf(counts, denominator, kind="exact"):
     return lambda: SuccessPmf(CONFIG, counts, denominator, kind)
+
+
+def _optimal(data_slots, efficiency):
+    return lambda: OptimalDataSlots(8, 12, 8, data_slots, efficiency)
 
 
 _ROW_1 = frame_metrics(SystemConfig(8, 4, 1))
@@ -240,6 +256,12 @@ _SLOTS_1 = frame_metrics(SystemConfig(8, 1, 12))
         (lambda: EmpiricalReport(PARAMS, (5,)), "max_successes + 1 = 5 entries, got 1"),
         (lambda: EmpiricalReport(PARAMS, (201, -1, 0, 0, 0)), "must be non-negative"),
         (lambda: EmpiricalReport(PARAMS, (5, 0, 0, 0, 0)), "sum to the denominator 200"),
+        # a data phase of no slots, one past k_max, a negative efficiency and
+        # a float efficiency, which to_json() cannot write as a rational
+        (_optimal(0, Fraction(1, 2)), "data_slots must be >= 1, got 0"),
+        (_optimal(20, Fraction(1, 2)), "<= min(k_max, tokens, users) = 8, got 20"),
+        (_optimal(2, Fraction(-1, 2)), "efficiency must be >= 0, got -1/2"),
+        (_optimal(2, 0.5), "efficiency must be rational, got float"),
     ],
 )
 def test_post_init_rejections_still_fire(build, message):
@@ -308,11 +330,29 @@ _HUGE = 10**5000  # past the interpreter's 4300-digit int -> str limit
             lambda: SuccessPmf(SystemConfig(3, 1, 2), (1, 0), -_HUGE, "empirical"),
             "the denominator must be >= 1, got -2**16609 or less",
         ),
+        (lambda: parse_rational(_HUGE), "a rational must be a string, got int"),
+        (
+            lambda: surjection_rows(range(-_HUGE, 1), 3),
+            "the first row must be >= 0, got -2**16609 or less",
+        ),
+        (
+            lambda: surjection_rows(range(3), -_HUGE),
+            "cols must be >= 0, got -2**16609 or less",
+        ),
+        (
+            lambda: optimal_data_slots(-_HUGE, 1, 1),
+            "tokens must be >= 1, got -2**16609 or less",
+        ),
+        (
+            lambda: optimal_data_slots(1, 1, -_HUGE),
+            "k_max must be >= 1, got -2**16609 or less",
+        ),
     ],
     ids=[
         "pmf-sum", "pmf-exact-law", "metrics-above", "metrics-below", "split",
         "sweep-fixed", "pmf-entries", "tokens", "data_slots", "users",
-        "iterations", "pmf-denominator",
+        "iterations", "pmf-denominator", "parse-rational", "surjection-first-row",
+        "surjection-cols", "optimal-tokens", "optimal-k_max",
     ],
 )
 def test_refusals_past_the_digit_limit_write_the_package_message(build, message):
